@@ -13,6 +13,7 @@
 #include "stats/descriptive.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
+#include "util/virtual_shuffle.hpp"
 
 namespace dsa::core {
 
@@ -45,30 +46,27 @@ PraEngine::PraEngine(const EncounterModel& model, PraConfig config,
     throw std::invalid_argument("PraEngine: need at least 2 protocols");
   }
 
-  // Precompute the per-protocol opponent samples once. The seeded partial
-  // Fisher-Yates matches what the old per-call opponents_of drew, so the
-  // samples are unchanged — and stable across splits, which keeps the 50-50
-  // and minority tournaments comparable.
+  // Precompute the per-protocol opponent samples once, in O(sample) per
+  // protocol: a seeded partial Fisher-Yates over the virtual ascending list
+  // of every other protocol (position x holds x, or x + 1 once x reaches
+  // p). The draws match shuffling the materialized list, and the samples
+  // are stable across splits, which keeps the 50-50 and minority
+  // tournaments comparable.
   const std::uint32_t count = model_.protocol_count();
-  if (config_.opponent_sample > 0 &&
-      config_.opponent_sample < static_cast<std::size_t>(count) - 1) {
-    sampled_opponents_.resize(count);
-    std::vector<std::uint32_t> all;
-    all.reserve(count - 1);
+  const std::size_t sample = config_.opponent_sample;
+  if (sample > 0 && sample < static_cast<std::size_t>(count) - 1) {
+    sampled_opponents_.reserve(static_cast<std::size_t>(count) * sample);
+    util::VirtualShuffle shuffle;
     for (std::uint32_t p = 0; p < count; ++p) {
-      all.clear();
-      for (std::uint32_t o = 0; o < count; ++o) {
-        if (o != p) all.push_back(o);
-      }
       util::Rng rng(derive_seed(config_.seed, /*tag=*/0xA11, p, 0));
-      for (std::size_t i = 0; i < config_.opponent_sample; ++i) {
-        const std::size_t j =
-            i + static_cast<std::size_t>(rng.below(all.size() - i));
-        std::swap(all[i], all[j]);
-      }
-      sampled_opponents_[p].assign(all.begin(),
-                                   all.begin() + static_cast<std::ptrdiff_t>(
-                                                     config_.opponent_sample));
+      shuffle.shuffle(
+          count - 1, sample,
+          [p](std::size_t x) {
+            const auto o = static_cast<std::uint32_t>(x);
+            return o < p ? o : o + 1;
+          },
+          [&rng](std::size_t n) { return rng.below(n); },
+          sampled_opponents_);
     }
   }
 }
@@ -105,7 +103,9 @@ std::size_t PraEngine::opponent_count() const noexcept {
 }
 
 std::uint32_t PraEngine::opponent_at(std::uint32_t p, std::size_t j) const {
-  if (!sampled_opponents_.empty()) return sampled_opponents_[p][j];
+  if (!sampled_opponents_.empty()) {
+    return sampled_opponents_[p * config_.opponent_sample + j];
+  }
   // Exhaustive case: ascending protocol ids with p skipped.
   const auto o = static_cast<std::uint32_t>(j);
   return o < p ? o : o + 1;

@@ -138,9 +138,7 @@ class PraEngine {
   [[nodiscard]] std::size_t opponent_count() const noexcept;
 
   /// The j-th opponent of protocol p (j < opponent_count()): arithmetic in
-  /// the exhaustive case, a lookup into the precomputed per-protocol sample
-  /// otherwise. Replaces the old opponents_of, which rebuilt and reshuffled
-  /// the full list on every win_rate_of call.
+  /// the exhaustive case, a lookup into sampled_opponents_ otherwise.
   [[nodiscard]] std::uint32_t opponent_at(std::uint32_t p,
                                           std::size_t j) const;
 
@@ -156,10 +154,11 @@ class PraEngine {
   PraConfig config_;
   util::ThreadPool* pool_ = nullptr;
   mutable std::unique_ptr<util::ThreadPool> owned_pool_;
-  /// Per-protocol opponent samples (empty in the exhaustive case), built
-  /// once in the constructor with the same seeded partial Fisher-Yates the
-  /// old per-call path used, so samples are unchanged and split-stable.
-  std::vector<std::vector<std::uint32_t>> sampled_opponents_;
+  /// Opponent samples, protocol-major: entry p * opponent_sample + j is
+  /// protocol p's j-th opponent. Empty in the exhaustive case. Built once in
+  /// the constructor by a seeded partial Fisher-Yates over the virtual list
+  /// of every other protocol, O(opponent_sample) per protocol.
+  std::vector<std::uint32_t> sampled_opponents_;
 };
 
 /// Mixes a master seed with an experiment tag and work-item coordinates into

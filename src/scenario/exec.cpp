@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "core/ess.hpp"
@@ -25,8 +25,14 @@ namespace dsa::scenario {
 
 namespace {
 
+/// Parses an exact_number() string back to the identical double. Like
+/// strtod, from_chars rounds correctly, so both return the same value;
+/// from_chars skips strtod's locale handling, which dominated a warm sweep
+/// merge.
 double parse_exact_double(const std::string& text) {
-  return std::strtod(text.c_str(), nullptr);
+  double value = 0.0;
+  std::from_chars(text.data(), text.data() + text.size(), value);
+  return value;
 }
 
 // ---------------------------------------------------------------------------
@@ -375,12 +381,16 @@ util::CsvTable merge_rows(const Plan& plan,
       std::uint32_t protocol;
       double raw, robustness, aggressiveness;
     };
+    std::size_t row_count = 0;
+    for (const JobRows& rows : results) row_count += rows.size();
     std::vector<Rec> records;
+    records.reserve(row_count);
     for (const JobRows& rows : results) {
       for (const std::vector<std::string>& row : rows) {
-        records.push_back({static_cast<std::uint32_t>(
-                               std::strtoul(row[0].c_str(), nullptr, 10)),
-                           parse_exact_double(row[1]),
+        std::uint32_t protocol = 0;
+        std::from_chars(row[0].data(), row[0].data() + row[0].size(),
+                        protocol);
+        records.push_back({protocol, parse_exact_double(row[1]),
                            parse_exact_double(row[2]),
                            parse_exact_double(row[3])});
       }
@@ -390,19 +400,21 @@ util::CsvTable merge_rows(const Plan& plan,
     for (const Rec& rec : records) {
       const swarming::ProtocolSpec spec =
           swarming::decode_protocol(rec.protocol);
-      table.add_row({
-          std::to_string(rec.protocol),
-          swarming::to_string(spec.stranger_policy),
-          std::to_string(spec.stranger_slots),
-          swarming::to_string(spec.window),
-          swarming::to_string(spec.ranking),
-          std::to_string(spec.partner_slots),
-          swarming::to_string(spec.allocation),
-          util::format_number(rec.raw),
-          util::format_number(best > 0.0 ? rec.raw / best : 0.0),
-          util::format_number(rec.robustness),
-          util::format_number(rec.aggressiveness),
-      });
+      // Fields are moved into the row; a braced list would copy each one.
+      std::vector<std::string> row;
+      row.reserve(plan.merged_columns.size());
+      row.push_back(std::to_string(rec.protocol));
+      row.push_back(swarming::to_string(spec.stranger_policy));
+      row.push_back(std::to_string(spec.stranger_slots));
+      row.push_back(swarming::to_string(spec.window));
+      row.push_back(swarming::to_string(spec.ranking));
+      row.push_back(std::to_string(spec.partner_slots));
+      row.push_back(swarming::to_string(spec.allocation));
+      row.push_back(util::format_number(rec.raw));
+      row.push_back(util::format_number(best > 0.0 ? rec.raw / best : 0.0));
+      row.push_back(util::format_number(rec.robustness));
+      row.push_back(util::format_number(rec.aggressiveness));
+      table.add_row(std::move(row));
     }
   } else {
     for (const JobRows& rows : results) {

@@ -1,7 +1,9 @@
 #include "serve/cache.hpp"
 
 #include <cstdlib>
+#include <cstring>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "util/fingerprint.hpp"
@@ -37,16 +39,60 @@ std::uint64_t rows_check(const JobRows& rows) {
 
 namespace {
 
-/// Rough resident footprint of an entry: cell bytes plus per-cell/row/entry
-/// container overhead. Only relative accuracy matters — it drives eviction,
-/// never correctness.
-std::size_t entry_cost(const JobRows& rows) {
-  std::size_t cost = 128;
+void put_size(std::string& out, std::size_t value) {
+  out.append(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
+std::size_t take_size(std::string_view& in) {
+  std::size_t value = 0;
+  std::memcpy(&value, in.data(), sizeof(value));
+  in.remove_prefix(sizeof(value));
+  return value;
+}
+
+/// Rows packed into one buffer: the row count, then per row its cell count
+/// and per cell its length and bytes. A resident entry is one allocation
+/// instead of one per row and per long cell, about a third of the
+/// unpacked footprint; lookups rebuild the rows, which allocates no more
+/// than copying them would.
+std::string pack_rows(const JobRows& rows) {
+  std::size_t bytes = sizeof(std::size_t);
   for (const std::vector<std::string>& row : rows) {
-    cost += 48;
-    for (const std::string& cell : row) cost += 32 + cell.size();
+    bytes += sizeof(std::size_t);
+    for (const std::string& cell : row) {
+      bytes += sizeof(std::size_t) + cell.size();
+    }
   }
-  return cost;
+  std::string packed;
+  packed.reserve(bytes);
+  put_size(packed, rows.size());
+  for (const std::vector<std::string>& row : rows) {
+    put_size(packed, row.size());
+    for (const std::string& cell : row) {
+      put_size(packed, cell.size());
+      packed += cell;
+    }
+  }
+  return packed;
+}
+
+JobRows unpack_rows(std::string_view packed) {
+  JobRows rows(take_size(packed));
+  for (std::vector<std::string>& row : rows) {
+    row.resize(take_size(packed));
+    for (std::string& cell : row) {
+      const std::size_t size = take_size(packed);
+      cell.assign(packed.data(), size);
+      packed.remove_prefix(size);
+    }
+  }
+  return rows;
+}
+
+/// Resident footprint of an entry: the packed rows plus the LRU list and
+/// index nodes. It drives eviction, never correctness.
+std::size_t entry_cost(const std::string& packed) {
+  return 128 + packed.size();
 }
 
 /// One store line: the manifest job-line schema plus the "check" content
@@ -146,8 +192,7 @@ void ResultCache::load_store() {
       ++stats_.store_rejected;
       continue;
     }
-    insert_locked(*fp, std::move(parsed->rows), parsed->ms,
-                  /*persist=*/false);
+    insert_locked(*fp, parsed->rows, parsed->ms, /*persist=*/false);
     ++stats_.store_loaded;
   }
   // Loading counted each line as an insert; those are restorations, not new
@@ -165,7 +210,7 @@ std::optional<JobRows> ResultCache::lookup(std::uint64_t fingerprint) {
   }
   lru_.splice(lru_.begin(), lru_, it->second);
   ++stats_.hits;
-  return it->second->rows;
+  return unpack_rows(it->second->packed);
 }
 
 void ResultCache::insert(std::uint64_t fingerprint, const JobRows& rows,
@@ -174,8 +219,9 @@ void ResultCache::insert(std::uint64_t fingerprint, const JobRows& rows,
   insert_locked(fingerprint, rows, wall_ms, /*persist=*/true);
 }
 
-void ResultCache::insert_locked(std::uint64_t fingerprint, JobRows rows,
-                                double wall_ms, bool persist) {
+void ResultCache::insert_locked(std::uint64_t fingerprint,
+                                const JobRows& rows, double wall_ms,
+                                bool persist) {
   const auto it = index_.find(fingerprint);
   if (it != index_.end()) {
     // Determinism makes re-inserts byte-identical; just bump recency.
@@ -186,8 +232,9 @@ void ResultCache::insert_locked(std::uint64_t fingerprint, JobRows rows,
     store_ << store_line(fingerprint, rows, wall_ms) << '\n';
     store_.flush();
   }
-  const std::size_t cost = entry_cost(rows);
-  lru_.push_front(Entry{fingerprint, std::move(rows), cost});
+  std::string packed = pack_rows(rows);
+  const std::size_t cost = entry_cost(packed);
+  lru_.push_front(Entry{fingerprint, std::move(packed), cost});
   index_[fingerprint] = lru_.begin();
   bytes_ += cost;
   ++stats_.inserts;

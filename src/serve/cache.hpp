@@ -24,6 +24,7 @@
 #include <list>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <unordered_map>
 
 #include "scenario/manifest.hpp"
@@ -85,12 +86,13 @@ class ResultCache {
  private:
   struct Entry {
     std::uint64_t fingerprint = 0;
-    scenario::JobRows rows;
+    std::string packed;  // the rows, packed into one buffer (cache.cpp)
     std::size_t cost = 0;
   };
 
-  void insert_locked(std::uint64_t fingerprint, scenario::JobRows rows,
-                     double wall_ms, bool persist);
+  void insert_locked(std::uint64_t fingerprint,
+                     const scenario::JobRows& rows, double wall_ms,
+                     bool persist);
   void load_store();
 
   Options options_;

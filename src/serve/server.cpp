@@ -228,10 +228,11 @@ void Server::handle_query(util::LineSocket& connection,
       // Exceptions stay inside the job: pool.wait_idle() is shared by every
       // concurrent query, so one query's failure must not surface there.
       const auto start = std::chrono::steady_clock::now();
-      std::uint64_t done_now = 0;
+      JobRows rows;
+      std::string error_text;
       try {
         DSA_OBS_PHASE("serve/execute");
-        JobRows rows = scenario::execute_job(plan.spec, plan.jobs[i]);
+        rows = scenario::execute_job(plan.spec, plan.jobs[i]);
         const double wall_ms = std::chrono::duration<double, std::milli>(
                                    std::chrono::steady_clock::now() - start)
                                    .count();
@@ -240,18 +241,21 @@ void Server::handle_query(util::LineSocket& connection,
         if (obs::enabled()) {
           obs::Registry::global().counter("serve.jobs_executed").increment();
         }
-        std::lock_guard lock(query_mutex);
-        results[i] = std::move(rows);
-        done_now = cached + ++finished;
       } catch (const std::exception& error) {
-        std::lock_guard lock(query_mutex);
-        if (first_error.empty()) {
-          first_error = "job " + std::to_string(plan.jobs[i].index) + " (" +
-                        plan.jobs[i].label + "): " + error.what();
-        }
-        done_now = cached + ++finished;
+        error_text = "job " + std::to_string(plan.jobs[i].index) + " (" +
+                     plan.jobs[i].label + "): " + error.what();
       }
-      send_progress(done_now);
+      // Everything that touches handle_query's frame happens under
+      // query_mutex, the notify included: handle_query cannot see the last
+      // job finished, return, and destroy the mutex, the condition
+      // variable or send_progress while this job still uses them.
+      std::lock_guard lock(query_mutex);
+      if (error_text.empty()) {
+        results[i] = std::move(rows);
+      } else if (first_error.empty()) {
+        first_error = std::move(error_text);
+      }
+      send_progress(cached + ++finished);
       query_done.notify_all();
     });
   }

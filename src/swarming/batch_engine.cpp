@@ -12,6 +12,7 @@
 #include "obs/recorder.hpp"
 #include "swarming/engine_detail.hpp"
 #include "util/rng.hpp"
+#include "util/virtual_shuffle.hpp"
 
 namespace dsa::swarming {
 
@@ -59,11 +60,10 @@ struct BatchWorkspace::Impl {
   util::LaneRng rng;
 
   // Transient scratch shared across lanes: each buffer is only live inside
-  // one lane's act()/fault step, and the candidate marks are restored to
-  // all-zero after every act, so lanes can safely take turns with them.
+  // one lane's act()/fault step, so lanes can safely take turns with them.
   std::vector<std::uint32_t> candidates;
   std::vector<std::uint32_t> eligible_strangers;
-  std::vector<std::uint8_t> is_candidate;
+  util::VirtualShuffle stranger_shuffle;
   std::vector<std::uint32_t> victim_scratch;
   std::vector<double> intake_scale;
   std::vector<RankEntry> rank_entries;
@@ -124,7 +124,6 @@ struct BatchWorkspace::Impl {
     candidates.reserve(n);
     eligible_strangers.clear();
     eligible_strangers.reserve(n);
-    is_candidate.assign(n, 0);
     victim_scratch.clear();
     intake_scale.assign(n, 0.0);
     rank_entries.clear();
@@ -291,11 +290,6 @@ class BatchEngine {
         } else {
           act<false>(w, me);
         }
-        // Restore the all-zero candidate-mark invariant before the next
-        // lane borrows the shared scratch.
-        for (const std::uint32_t j : ws_.excluded_scratch) {
-          ws_.is_candidate[j] = 0;
-        }
       }
     }
 
@@ -311,7 +305,6 @@ class BatchEngine {
     const Generation& now = gen(w, now_);
     const std::size_t base = me * n_;
     auto push = [&](std::uint32_t j, double window) {
-      ws_.is_candidate[j] = 1;
       candidates.push_back(j);
       ws_.candidate_window.push_back(window);
     };
@@ -593,32 +586,11 @@ class BatchEngine {
   /// (same draws, same overlay) with the draws taken from lane w's stream.
   std::size_t pick_strangers(std::size_t w, std::size_t me,
                              std::size_t want) {
-    constexpr std::size_t kMaxOverlayPicks = 8;  // design space: h <= 3
-    auto& eligible = ws_.eligible_strangers;
-
     auto& excluded = ws_.excluded_scratch;
     const auto me_id = static_cast<std::uint32_t>(me);
     excluded.insert(std::lower_bound(excluded.begin(), excluded.end(), me_id),
                     me_id);
     const std::size_t eligible_size = n_ - excluded.size();
-
-    if (want > kMaxOverlayPicks) {
-      eligible.clear();
-      std::uint32_t from = 0;
-      for (const std::uint32_t e : excluded) {
-        for (std::uint32_t j = from; j < e; ++j) eligible.push_back(j);
-        from = e + 1;
-      }
-      for (std::uint32_t j = from; j < n_; ++j) eligible.push_back(j);
-      const std::size_t found = std::min(want, eligible.size());
-      for (std::size_t i = 0; i < found; ++i) {
-        const std::size_t j =
-            i + static_cast<std::size_t>(
-                    ws_.rng.below(w, eligible.size() - i));
-        std::swap(eligible[i], eligible[j]);
-      }
-      return found;
-    }
 
     auto base = [&](std::size_t x) {
       std::uint32_t value = static_cast<std::uint32_t>(x);
@@ -627,38 +599,12 @@ class BatchEngine {
       }
       return value;
     };
-    struct Patch {
-      std::size_t pos;
-      std::uint32_t value;
-    };
-    Patch patches[2 * kMaxOverlayPicks];
-    std::size_t patch_count = 0;
-    auto read = [&](std::size_t pos) {
-      for (std::size_t p = 0; p < patch_count; ++p) {
-        if (patches[p].pos == pos) return patches[p].value;
-      }
-      return base(pos);
-    };
-    auto write = [&](std::size_t pos, std::uint32_t value) {
-      for (std::size_t p = 0; p < patch_count; ++p) {
-        if (patches[p].pos == pos) {
-          patches[p].value = value;
-          return;
-        }
-      }
-      patches[patch_count++] = {pos, value};
-    };
-
-    eligible.clear();
     const std::size_t found = std::min(want, eligible_size);
-    for (std::size_t i = 0; i < found; ++i) {
-      const std::size_t j =
-          i + static_cast<std::size_t>(ws_.rng.below(w, eligible_size - i));
-      const std::uint32_t picked = read(j);
-      write(j, read(i));
-      write(i, picked);
-      eligible.push_back(picked);
-    }
+    ws_.eligible_strangers.clear();
+    ws_.stranger_shuffle.shuffle(
+        eligible_size, found, base,
+        [this, w](std::size_t bound) { return ws_.rng.below(w, bound); },
+        ws_.eligible_strangers);
     return found;
   }
 

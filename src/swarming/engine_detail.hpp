@@ -12,6 +12,7 @@
 #include "obs/obs.hpp"
 #include "obs/sketch/sketch.hpp"
 #include "swarming/simulator.hpp"
+#include "util/virtual_shuffle.hpp"
 
 namespace dsa::swarming {
 
@@ -59,7 +60,7 @@ struct SimWorkspace::Impl {
   // Per-peer scratch reused across rounds.
   std::vector<std::uint32_t> candidates;
   std::vector<std::uint32_t> eligible_strangers;
-  std::vector<std::uint8_t> is_candidate;
+  util::VirtualShuffle stranger_shuffle;
   std::vector<std::uint32_t> tie_priority;
   std::vector<std::uint32_t> victim_scratch;
   std::vector<double> intake_scale;
@@ -112,7 +113,6 @@ struct SimWorkspace::Impl {
     candidates.reserve(n);
     eligible_strangers.clear();
     eligible_strangers.reserve(n);
-    is_candidate.assign(n, 0);
     tie_priority.assign(n, 0);
     victim_scratch.clear();
     intake_scale.assign(n, 0.0);

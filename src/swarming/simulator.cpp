@@ -749,13 +749,6 @@ class SparseEngine {
       } else {
         act<false>(me);
       }
-      // Restore the all-zero candidate-mark invariant for the next peer
-      // (the dense engine instead overwrites the whole array per peer).
-      // excluded_scratch holds the full candidate set in build order — the
-      // candidates list itself only keeps its ranked top-k intact.
-      for (const std::uint32_t j : ws_.excluded_scratch) {
-        ws_.is_candidate[j] = 0;
-      }
     }
 
     finish_round(round);
@@ -773,7 +766,6 @@ class SparseEngine {
     // arithmetic mirrors window_received() addend for addend, so a ranking
     // key read from candidate_window is bit-equal to recomputing it.
     auto push = [&](std::uint32_t j, double window) {
-      ws_.is_candidate[j] = 1;
       candidates.push_back(j);
       ws_.candidate_window.push_back(window);
     };
@@ -831,7 +823,7 @@ class SparseEngine {
     auto& candidates = ws_.candidates;
     candidates_scanned_ += candidates.size();  // only live slots are touched
     // Snapshot the ascending candidate set before ranking permutes the
-    // list: it is the stranger-exclusion set and the mark-clearing list.
+    // list: it is the stranger-exclusion set.
     ws_.excluded_scratch.assign(candidates.begin(), candidates.end());
 
     // 2. Rank and select the top k partners.
@@ -1069,15 +1061,10 @@ class SparseEngine {
   /// engine builds `eligible` = ascending [0, n) minus {me} minus the
   /// candidates, then partially Fisher-Yates-shuffles its front; here the
   /// same draws (`below(eligible_size - i)`, identical arguments, identical
-  /// order) index a *virtual* copy of that list: position x resolves to the
-  /// x-th non-excluded peer in O(|excluded|), and the handful of swaps the
-  /// shuffle would have made live in a tiny overlay. Falls back to the
-  /// materialized scan when the exclusion set is a large fraction of n —
-  /// both paths pick identical peers.
+  /// order) index a *virtual* copy of that list through util::VirtualShuffle:
+  /// position x resolves to the x-th non-excluded peer in O(|excluded|), and
+  /// the handful of swaps the shuffle would have made live in its overlay.
   std::size_t pick_strangers(std::size_t me, std::size_t want) {
-    constexpr std::size_t kMaxOverlayPicks = 8;  // design space: h <= 3
-    auto& eligible = ws_.eligible_strangers;
-
     // excluded_scratch already holds the ascending candidate set (snapshot
     // taken in act() before ranking permuted the list); slot `me` in.
     auto& excluded = ws_.excluded_scratch;
@@ -1085,25 +1072,6 @@ class SparseEngine {
     excluded.insert(std::lower_bound(excluded.begin(), excluded.end(), me_id),
                     me_id);
     const std::size_t eligible_size = n_ - excluded.size();
-
-    if (want > kMaxOverlayPicks) {
-      // Materialize the eligible list as the complement of the sorted
-      // exclusions — contiguous runs instead of a per-element branch.
-      eligible.clear();
-      std::uint32_t from = 0;
-      for (const std::uint32_t e : excluded) {
-        for (std::uint32_t j = from; j < e; ++j) eligible.push_back(j);
-        from = e + 1;
-      }
-      for (std::uint32_t j = from; j < n_; ++j) eligible.push_back(j);
-      const std::size_t found = std::min(want, eligible.size());
-      for (std::size_t i = 0; i < found; ++i) {
-        const std::size_t j =
-            i + static_cast<std::size_t>(rng_.below(eligible.size() - i));
-        std::swap(eligible[i], eligible[j]);
-      }
-      return found;
-    }
 
     // x-th element of ascending [0, n) minus the sorted exclusions. The
     // full walk is branch-predictable (a conditional increment, no early
@@ -1115,39 +1083,12 @@ class SparseEngine {
       }
       return value;
     };
-    // Sparse overlay of the virtual list: at most two entries per pick.
-    struct Patch {
-      std::size_t pos;
-      std::uint32_t value;
-    };
-    Patch patches[2 * kMaxOverlayPicks];
-    std::size_t patch_count = 0;
-    auto read = [&](std::size_t pos) {
-      for (std::size_t p = 0; p < patch_count; ++p) {
-        if (patches[p].pos == pos) return patches[p].value;
-      }
-      return base(pos);
-    };
-    auto write = [&](std::size_t pos, std::uint32_t value) {
-      for (std::size_t p = 0; p < patch_count; ++p) {
-        if (patches[p].pos == pos) {
-          patches[p].value = value;
-          return;
-        }
-      }
-      patches[patch_count++] = {pos, value};
-    };
-
-    eligible.clear();
     const std::size_t found = std::min(want, eligible_size);
-    for (std::size_t i = 0; i < found; ++i) {
-      const std::size_t j =
-          i + static_cast<std::size_t>(rng_.below(eligible_size - i));
-      const std::uint32_t picked = read(j);
-      write(j, read(i));
-      write(i, picked);
-      eligible.push_back(picked);
-    }
+    ws_.eligible_strangers.clear();
+    ws_.stranger_shuffle.shuffle(
+        eligible_size, found, base,
+        [this](std::size_t bound) { return rng_.below(bound); },
+        ws_.eligible_strangers);
     return found;
   }
 

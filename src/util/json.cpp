@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -11,24 +10,29 @@ namespace dsa::util::json {
 std::string escape(std::string_view text) {
   std::string out;
   out.reserve(text.size());
-  for (char c : text) {
+  // Plain characters are copied in runs; only the ones RFC 8259 requires
+  // escaping break a run.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const auto c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(text.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        constexpr char kHex[] = "0123456789abcdef";
+        out += "\\u00";
+        out += kHex[c >> 4];
+        out += kHex[c & 0xF];
+      }
     }
   }
+  out.append(text.data() + run, text.size() - run);
   return out;
 }
 
@@ -196,13 +200,18 @@ class Parser {
     expect('"');
     std::string out;
     for (;;) {
+      // Copy the run of plain characters up to the next quote, backslash or
+      // newline in one append; none of them moves the line counter.
+      const std::size_t run = pos_;
+      while (pos_ < text_.size()) {
+        const char c = text_[pos_];
+        if (c == '"' || c == '\\' || c == '\n') break;
+        ++pos_;
+      }
+      out.append(text_.data() + run, pos_ - run);
       const char c = take();
       if (c == '"') return out;
       if (c == '\n') fail("unescaped newline in string");
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
       const char esc = take();
       switch (esc) {
         case '"': out += '"'; break;
@@ -386,7 +395,10 @@ Cursor Cursor::at(std::size_t i) const {
     fail("index " + std::to_string(i) + " outside array of size " +
          std::to_string(value_->items.size()));
   }
-  return Cursor(&value_->items[i], *this, "[" + std::to_string(i) + "]");
+  std::string suffix = "[";
+  suffix += std::to_string(i);
+  suffix += ']';
+  return Cursor(&value_->items[i], *this, std::move(suffix));
 }
 
 std::string Cursor::as_string() const {

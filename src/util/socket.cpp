@@ -2,6 +2,7 @@
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -72,32 +73,60 @@ void LineSocket::send_line(std::string_view line) {
   if (line.find('\n') != std::string_view::npos) {
     throw std::logic_error("send_line: message contains a newline");
   }
-  std::string frame(line);
-  frame += '\n';
-  std::size_t sent = 0;
-  while (sent < frame.size()) {
+  // The line and its terminator go out as two iovecs, so the frame is
+  // never copied into one buffer.
+  static constexpr char kNewline = '\n';
+  iovec parts[2] = {{const_cast<char*>(line.data()), line.size()},
+                    {const_cast<char*>(&kNewline), 1}};
+  msghdr message{};
+  message.msg_iov = parts;
+  message.msg_iovlen = 2;
+  while (message.msg_iovlen > 0) {
     // MSG_NOSIGNAL: a vanished peer surfaces as EPIPE here instead of
     // killing the daemon with SIGPIPE.
-    const ssize_t n = ::send(fd_, frame.data() + sent, frame.size() - sent,
-                             MSG_NOSIGNAL);
+    const ssize_t n = ::sendmsg(fd_, &message, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       throw_errno("send on unix socket");
     }
-    sent += static_cast<std::size_t>(n);
+    // Skip past what a short write did send.
+    auto sent = static_cast<std::size_t>(n);
+    while (message.msg_iovlen > 0 && sent >= message.msg_iov->iov_len) {
+      sent -= message.msg_iov->iov_len;
+      ++message.msg_iov;
+      --message.msg_iovlen;
+    }
+    if (message.msg_iovlen > 0) {
+      message.msg_iov->iov_base =
+          static_cast<char*>(message.msg_iov->iov_base) + sent;
+      message.msg_iov->iov_len -= sent;
+    }
   }
 }
 
 std::optional<std::string> LineSocket::recv_line() {
   if (fd_ < 0) throw std::runtime_error("recv_line on a closed socket");
+  // buffer_[0, scanned) is known to hold no '\n': each received byte is
+  // searched once, however many reads a long line takes.
+  std::size_t scanned = 0;
   for (;;) {
-    const std::size_t newline = buffer_.find('\n');
+    const std::size_t newline = buffer_.find('\n', scanned);
     if (newline != std::string::npos) {
-      std::string line = buffer_.substr(0, newline);
-      buffer_.erase(0, newline + 1);
+      std::string line;
+      if (newline + 1 == buffer_.size()) {
+        // The usual case, a line ending the buffer: hand the buffer over
+        // instead of copying it.
+        line = std::move(buffer_);
+        line.pop_back();
+        buffer_.clear();
+      } else {
+        line.assign(buffer_, 0, newline);
+        buffer_.erase(0, newline + 1);
+      }
       return line;
     }
-    char chunk[4096];
+    scanned = buffer_.size();
+    char chunk[64 * 1024];
     const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
     if (n < 0) {
       if (errno == EINTR) continue;

@@ -5,6 +5,8 @@
 
 #include <atomic>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/design_space.hpp"
@@ -12,6 +14,7 @@
 #include "core/pra.hpp"
 #include "core/search.hpp"
 #include "core/subspace.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -184,6 +187,102 @@ TEST(PraEngine, OpponentSamplingPreservesExtremes) {
   EXPECT_DOUBLE_EQ(robustness.front(), 0.0);  // weakest loses to any sample
 }
 
+// ------------------------------------------------- opponent sampling ----
+
+/// Records the opponent of every mixed game, in call order; win_rate_of
+/// runs serially on the calling thread, so no locking is needed.
+class OpponentRecorder final : public EncounterModel {
+ public:
+  explicit OpponentRecorder(std::uint32_t count) : count_(count) {}
+  std::uint32_t protocol_count() const override { return count_; }
+  std::string protocol_name(std::uint32_t id) const override {
+    return std::to_string(id);
+  }
+  double homogeneous_utility(std::uint32_t, std::size_t,
+                             std::uint64_t) const override {
+    return 1.0;
+  }
+  std::pair<double, double> mixed_utilities(std::uint32_t, std::uint32_t b,
+                                            std::size_t, std::size_t,
+                                            std::uint64_t) const override {
+    opponents.push_back(b);
+    return {1.0, 0.0};
+  }
+  mutable std::vector<std::uint32_t> opponents;
+
+ private:
+  std::uint32_t count_;
+};
+
+/// The sampler PraEngine used before sampling went virtual, kept here as
+/// the reference: build the ascending list of every protocol but p, then
+/// run `sample` steps of a seeded partial Fisher-Yates over it.
+std::vector<std::uint32_t> reference_sample(std::uint64_t seed,
+                                            std::uint32_t count,
+                                            std::uint32_t p,
+                                            std::size_t sample) {
+  std::vector<std::uint32_t> all;
+  for (std::uint32_t o = 0; o < count; ++o) {
+    if (o != p) all.push_back(o);
+  }
+  dsa::util::Rng rng(derive_seed(seed, /*tag=*/0xA11, p, 0));
+  for (std::size_t i = 0; i < sample; ++i) {
+    const std::size_t j =
+        i + static_cast<std::size_t>(rng.below(all.size() - i));
+    std::swap(all[i], all[j]);
+  }
+  all.resize(sample);
+  return all;
+}
+
+TEST(PraEngine, OpponentSamplesMatchTheMaterializedShuffle) {
+  for (const std::uint64_t seed : {2011ULL, 7ULL, 0xdeadbeefULL}) {
+    for (const std::uint32_t count : {3u, 17u, 3270u}) {
+      for (const std::size_t sample :
+           {std::size_t{1}, std::size_t{3}, std::size_t{24},
+            static_cast<std::size_t>(count) - 2}) {
+        if (sample + 1 >= count) continue;  // exhaustive, not sampled
+        OpponentRecorder model(count);
+        PraConfig config;
+        config.performance_runs = 1;
+        config.encounter_runs = 1;
+        config.opponent_sample = sample;
+        config.seed = seed;
+        const PraEngine engine(model, config);
+        // Every protocol of the small spaces; the first three, the middle
+        // one and the last two of the large one.
+        std::vector<std::uint32_t> probes;
+        if (count < 100) {
+          probes.resize(count);
+          std::iota(probes.begin(), probes.end(), 0u);
+        } else {
+          probes = {0, 1, 2, count / 2, count - 2, count - 1};
+        }
+        for (const std::uint32_t p : probes) {
+          model.opponents.clear();
+          (void)engine.win_rate_of(p, 0.5);
+          EXPECT_EQ(model.opponents, reference_sample(seed, count, p, sample))
+              << "seed " << seed << " count " << count << " sample "
+              << sample << " protocol " << p;
+        }
+      }
+    }
+  }
+}
+
+TEST(PraEngine, SampleOfAllOthersIsExhaustive) {
+  OpponentRecorder model(17);
+  PraConfig config;
+  config.performance_runs = 1;
+  config.encounter_runs = 1;
+  config.opponent_sample = 16;  // == count - 1: everyone, ascending
+  (void)PraEngine(model, config).win_rate_of(5, 0.5);
+  std::vector<std::uint32_t> expected(17);
+  std::iota(expected.begin(), expected.end(), 0u);
+  expected.erase(expected.begin() + 5);
+  EXPECT_EQ(model.opponents, expected);
+}
+
 TEST(PraEngine, ProgressCallbackCoversAllProtocols) {
   ToyModel model({1.0, 2.0, 3.0});
   PraConfig config;
@@ -192,7 +291,11 @@ TEST(PraEngine, ProgressCallbackCoversAllProtocols) {
   std::atomic<std::size_t> final_done{0};
   config.progress = [&](std::size_t done, std::size_t total) {
     EXPECT_LE(done, total);
-    final_done = done;
+    // Workers report concurrently, so the last call to return need not
+    // carry the highest count: keep the maximum.
+    std::size_t seen = final_done.load();
+    while (seen < done && !final_done.compare_exchange_weak(seen, done)) {
+    }
   };
   (void)PraEngine(model, config).raw_performance();
   EXPECT_EQ(final_done.load(), 3u);

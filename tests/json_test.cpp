@@ -70,6 +70,49 @@ TEST(JsonEscape, QuotesControlCharacters) {
   EXPECT_EQ(escape(std::string("\n\t\x01", 3)), "\\n\\t\\u0001");
 }
 
+/// `text` as a JSON string literal.
+std::string literal(const std::string& text) {
+  std::string out = "\"";
+  out += escape(text);
+  out += '"';
+  return out;
+}
+
+TEST(JsonEscape, EveryByteRoundTripsThroughParse) {
+  std::string all;
+  for (int byte = 0; byte < 256; ++byte) all += static_cast<char>(byte);
+  // Each byte alone, then all of them in one string, so runs of plain
+  // characters meet every escaped one on both sides.
+  for (int byte = 0; byte < 256; ++byte) {
+    const std::string one(1, static_cast<char>(byte));
+    EXPECT_EQ(parse(literal(one)).text, one) << byte;
+  }
+  const std::string twice = all + all;
+  EXPECT_EQ(parse(literal(twice)).text, twice);
+  // Only the characters RFC 8259 requires are escaped.
+  EXPECT_EQ(escape("\x7f\x80\xff/"), "\x7f\x80\xff/");
+  EXPECT_EQ(escape(std::string("\x00\x1f", 2)), "\\u0000\\u001f");
+}
+
+TEST(JsonParse, StringErrorsKeepTheirLineNumbers) {
+  const auto message = [](const std::string& text) -> std::string {
+    try {
+      parse(text, "f.json");
+    } catch (const ParseError& error) {
+      return error.what();
+    }
+    return "no error";
+  };
+  // A raw newline inside a string has already moved the line counter.
+  EXPECT_EQ(message("{\n  \"a\": \"x\ny\"}"),
+            "f.json:3: unescaped newline in string");
+  EXPECT_EQ(message("[\n\"abc"), "f.json:2: unexpected end of input");
+  EXPECT_EQ(message("[\n\n\"a\\q\"]"), "f.json:3: invalid escape '\\q'");
+  EXPECT_EQ(message("[\"long plain run\",\n\"\\u12G4\"]"),
+            "f.json:2: invalid \\u escape");
+  EXPECT_EQ(message("[\"a\",\n\"b\"\n,]"), "f.json:3: unexpected character ']'");
+}
+
 // -------------------------------------------------------------- Cursor ----
 
 TEST(JsonCursor, TypedReadsAndPaths) {

@@ -306,6 +306,21 @@ TEST_F(ServeTest, CanonicalPlanPinsEngineAndBatchWidth) {
             canon_sparse.jobs[0].fingerprint);
 }
 
+TEST(ServeCache, LookupReturnsTheRowsExactlyAsInserted) {
+  serve::ResultCache cache({.memory_budget_bytes = 1 << 20, .store_path = {}});
+  const std::string long_cell(1000, 'x');
+  const scenario::JobRows rows =
+      rows_of({{"1", "206.70348333333334", long_cell},
+               {},
+               {"", std::string("nul\0and\nnewline", 15)},
+               {"last"}});
+  cache.insert(7, rows, 0.0);
+  cache.insert(8, {}, 0.0);
+  EXPECT_EQ(cache.lookup(7), std::optional<scenario::JobRows>(rows));
+  EXPECT_EQ(cache.lookup(8), std::optional<scenario::JobRows>(
+                                 scenario::JobRows{}));
+}
+
 TEST(ServeCache, LruEvictsUnderTinyBudget) {
   serve::ResultCache cache({.memory_budget_bytes = 1, .store_path = {}});
   cache.insert(1, rows_of({{"one"}}), 0.0);

@@ -1,6 +1,8 @@
 // Unit and property tests for src/util: RNG, CSV, env config, thread pool,
-// and table printing.
+// table printing, virtual shuffles and line-framed sockets.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -8,7 +10,11 @@
 #include <filesystem>
 #include <fstream>
 #include <numeric>
+#include <optional>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <thread>
 #include <vector>
 
 #include "util/csv.hpp"
@@ -16,8 +22,10 @@
 #include "util/fingerprint.hpp"
 #include "util/fs.hpp"
 #include "util/rng.hpp"
+#include "util/socket.hpp"
 #include "util/table_printer.hpp"
 #include "util/thread_pool.hpp"
+#include "util/virtual_shuffle.hpp"
 
 namespace {
 
@@ -222,6 +230,157 @@ TEST(CsvTable, RejectsBadRows) {
   CsvTable table({"a", "b"});
   EXPECT_THROW(table.add_row({"only-one"}), std::invalid_argument);
   EXPECT_THROW(table.add_row({"x", "has,comma"}), std::invalid_argument);
+}
+
+TEST(CsvTable, RejectsEachUnsupportedCharacterAnywhereInAField) {
+  for (const char bad : {',', '"', '\n', '\r'}) {
+    for (const std::string& field :
+         {std::string(1, bad), std::string("x") + bad,
+          std::string(1, bad) + "x", std::string("ab") + bad + "cd"}) {
+      CsvTable table({"a"});
+      EXPECT_THROW(table.add_row({field}), std::invalid_argument)
+          << static_cast<int>(bad);
+      EXPECT_THROW(CsvTable({"ok", field}), std::invalid_argument)
+          << static_cast<int>(bad);
+    }
+  }
+}
+
+TEST(CsvTable, AcceptsEveryOtherByte) {
+  // Includes the bytes 64 and 128 above each rejected one ('l', 'b', 'J',
+  // 'M', 0xAC, ...), which a careless bit-mask test would alias.
+  std::string field;
+  for (int byte = 0; byte < 256; ++byte) {
+    if (byte != ',' && byte != '"' && byte != '\n' && byte != '\r') {
+      field += static_cast<char>(byte);
+    }
+  }
+  CsvTable table({"a"});
+  EXPECT_NO_THROW(table.add_row({field}));
+  EXPECT_EQ(table.to_csv(), "a\n" + field + "\n");
+}
+
+// ------------------------------------------------------- VirtualShuffle ----
+
+TEST(VirtualShuffle, MatchesShufflingTheMaterializedList) {
+  VirtualShuffle shuffle;  // reused across draws, as the engines do
+  for (const std::uint64_t seed : {1ULL, 2ULL, 99ULL}) {
+    for (const std::size_t size : {1u, 2u, 7u, 40u, 1000u}) {
+      for (const std::size_t picks : {std::size_t{0}, std::size_t{1},
+                                      std::size_t{3}, size / 2, size}) {
+        if (picks > size) continue;
+        // A non-trivial list: the odd numbers, ascending.
+        std::vector<std::uint32_t> list(size);
+        for (std::size_t x = 0; x < size; ++x) {
+          list[x] = static_cast<std::uint32_t>(2 * x + 1);
+        }
+        Rng reference_rng(seed);
+        for (std::size_t i = 0; i < picks; ++i) {
+          const std::size_t j =
+              i + static_cast<std::size_t>(reference_rng.below(size - i));
+          std::swap(list[i], list[j]);
+        }
+        list.resize(picks);
+
+        Rng rng(seed);
+        std::vector<std::uint32_t> out;
+        shuffle.shuffle(
+            size, picks,
+            [](std::size_t x) { return static_cast<std::uint32_t>(2 * x + 1); },
+            [&rng](std::size_t bound) { return rng.below(bound); }, out);
+        EXPECT_EQ(out, list) << "seed " << seed << " size " << size
+                             << " picks " << picks;
+      }
+    }
+  }
+}
+
+// ----------------------------------------------------------- LineSocket ----
+
+/// A connected unix stream pair: `reader` is a LineSocket, `writer_fd` the
+/// raw other end, written with plain write(2) to control how bytes arrive.
+struct SocketPair {
+  SocketPair() {
+    int fds[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+      throw std::runtime_error("socketpair failed");
+    }
+    reader = LineSocket(fds[0]);
+    writer_fd = fds[1];
+  }
+  ~SocketPair() { close_writer(); }
+  SocketPair(const SocketPair&) = delete;
+  SocketPair& operator=(const SocketPair&) = delete;
+  void write_all(std::string_view bytes) const {
+    while (!bytes.empty()) {
+      const ssize_t n = ::write(writer_fd, bytes.data(), bytes.size());
+      if (n <= 0) throw std::runtime_error("write failed");
+      bytes.remove_prefix(static_cast<std::size_t>(n));
+    }
+  }
+  void close_writer() {
+    if (writer_fd >= 0) ::close(writer_fd);
+    writer_fd = -1;
+  }
+  LineSocket reader;
+  int writer_fd = -1;
+};
+
+TEST(LineSocket, MultiMegabyteLineWrittenInSmallPieces) {
+  SocketPair pair;
+  std::string big(3 * 1024 * 1024 + 17, '\0');
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<char>('a' + i % 26);
+  }
+  std::thread writer([&] {
+    for (std::size_t at = 0; at < big.size(); at += 1000) {
+      pair.write_all(std::string_view(big).substr(at, 1000));
+    }
+    pair.write_all("\nnext\n");
+  });
+  const std::optional<std::string> line = pair.reader.recv_line();
+  const std::optional<std::string> next = pair.reader.recv_line();
+  writer.join();
+  ASSERT_TRUE(line.has_value());
+  EXPECT_EQ(line->size(), big.size());
+  EXPECT_TRUE(*line == big);
+  EXPECT_EQ(next, std::optional<std::string>("next"));
+}
+
+TEST(LineSocket, TwoLinesInOneRead) {
+  SocketPair pair;
+  pair.write_all("first\nsecond\n");
+  pair.close_writer();
+  EXPECT_EQ(pair.reader.recv_line(), std::optional<std::string>("first"));
+  EXPECT_EQ(pair.reader.recv_line(), std::optional<std::string>("second"));
+  EXPECT_EQ(pair.reader.recv_line(), std::nullopt);  // clean EOF
+}
+
+TEST(LineSocket, TornFrameThrows) {
+  SocketPair pair;
+  pair.write_all("whole\npartial");
+  pair.close_writer();
+  EXPECT_EQ(pair.reader.recv_line(), std::optional<std::string>("whole"));
+  EXPECT_THROW((void)pair.reader.recv_line(), std::runtime_error);
+}
+
+TEST(LineSocket, SendLineFramesLargeLinesAndRejectsNewlines) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  LineSocket sender(fds[0]);
+  LineSocket receiver(fds[1]);
+  const std::string big(2 * 1024 * 1024, 'x');
+  // Larger than the socket buffer: send_line must finish its short writes.
+  std::thread writer([&] {
+    sender.send_line(big);
+    sender.send_line("");
+  });
+  const std::optional<std::string> line = receiver.recv_line();
+  EXPECT_EQ(receiver.recv_line(), std::optional<std::string>(""));
+  writer.join();
+  ASSERT_TRUE(line.has_value());
+  EXPECT_TRUE(*line == big);
+  EXPECT_THROW(sender.send_line("a\nb"), std::logic_error);
 }
 
 TEST(CsvTable, UnknownColumnThrows) {
