@@ -236,6 +236,20 @@ inline void banner(const std::string& experiment, const std::string& claim) {
   std::printf("================================================================\n");
 }
 
+/// `open` + first + `separator` + second + `close`, e.g. "[0.2,0.4)". Built
+/// by appending: `"[" + std::string(...)` trips a GCC 12 -Wrestrict false
+/// positive.
+inline std::string bracketed(char open, const std::string& first,
+                             const char* separator, const std::string& second,
+                             char close) {
+  std::string text(1, open);
+  text += first;
+  text += separator;
+  text += second;
+  text += close;
+  return text;
+}
+
 /// "REPRODUCED" / "DEVIATION" verdict line.
 inline void verdict(bool reproduced, const std::string& detail) {
   std::printf("[%s] %s\n", reproduced ? "REPRODUCED" : "DEVIATION",

@@ -19,6 +19,10 @@ std::string value_to_string(const ParamValue& value) {
   return std::get<std::string>(value);
 }
 
+/// Salt separating job fingerprints from the spec fingerprint they chain
+/// from.
+constexpr std::uint64_t kJobSalt = 0x9bd1f30a7c24e685ULL;
+
 void mix_value(util::Fingerprint& fp, const ParamValue& value) {
   fp.mix(static_cast<std::uint64_t>(value.index()));
   if (const auto* i = std::get_if<std::int64_t>(&value)) {
@@ -28,6 +32,18 @@ void mix_value(util::Fingerprint& fp, const ParamValue& value) {
   } else {
     fp.mix(std::get<std::string>(value));
   }
+}
+
+/// The job fingerprint chain after every axis's first value — the shared
+/// prefix of all sweep and explore jobs, hashed once per plan.
+util::Fingerprint front_values_prefix(const ScenarioSpec& spec,
+                                      std::uint64_t spec_fp) {
+  util::Fingerprint fp(spec_fp ^ kJobSalt);
+  for (const Axis& axis : spec.axes) {
+    fp.mix(axis.name);
+    mix_value(fp, axis.values.front());
+  }
+  return fp;
 }
 
 std::vector<std::string> job_columns_for(Kind kind) {
@@ -78,28 +94,36 @@ void expand_grid_jobs(const ScenarioSpec& spec, std::uint64_t spec_fp,
   for (const Axis& axis : spec.axes) total *= axis.values.size();
 
   // Odometer over the axes, last axis fastest — spec order is table order,
-  // so job order never depends on the spec author's key order.
+  // so job order never depends on the spec author's key order. chain[a]
+  // is the fingerprint after axes [0, a); a step that moves digit a and
+  // resets the ones after it re-hashes only from axis a on.
   std::vector<std::size_t> digits(spec.axes.size(), 0);
+  std::vector<util::Fingerprint> chain(spec.axes.size() + 1,
+                                       util::Fingerprint(spec_fp ^ kJobSalt));
+  std::size_t stale = 0;
   for (std::size_t index = 0; index < total; ++index) {
+    for (std::size_t a = stale; a < spec.axes.size(); ++a) {
+      chain[a + 1] = chain[a];
+      chain[a + 1].mix(spec.axes[a].name);
+      mix_value(chain[a + 1], spec.axes[a].values[digits[a]]);
+    }
     Job job;
     job.index = index;
-    util::Fingerprint fp(spec_fp ^ 0x9bd1f30a7c24e685ULL);
+    job.fingerprint = chain.back().value();
     std::string label;
     for (std::size_t a = 0; a < spec.axes.size(); ++a) {
       const Axis& axis = spec.axes[a];
       const ParamValue& value = axis.values[digits[a]];
       job.params.set(axis.name, value);
-      fp.mix(axis.name);
-      mix_value(fp, value);
       if (axis.is_grid()) {
         if (!label.empty()) label += ' ';
         label += axis.name + '=' + value_to_string(value);
       }
     }
-    job.fingerprint = fp.value();
     job.label = label.empty() ? "job " + std::to_string(index) : label;
     plan.jobs.push_back(std::move(job));
     for (std::size_t a = spec.axes.size(); a-- > 0;) {
+      stale = a;
       if (++digits[a] < spec.axes[a].values.size()) break;
       digits[a] = 0;
     }
@@ -114,6 +138,7 @@ void expand_sweep_jobs(const ScenarioSpec& spec, std::uint64_t spec_fp,
   }
   const std::vector<std::uint32_t> selection =
       parse_protocol_selection(params.get_string("protocols"));
+  const util::Fingerprint prefix = front_values_prefix(spec, spec_fp);
 
   for (std::size_t begin = 0; begin < selection.size();
        begin += spec.chunk) {
@@ -124,11 +149,7 @@ void expand_sweep_jobs(const ScenarioSpec& spec, std::uint64_t spec_fp,
     job.params = params;
     job.protocols.assign(selection.begin() + static_cast<std::ptrdiff_t>(begin),
                          selection.begin() + static_cast<std::ptrdiff_t>(end));
-    util::Fingerprint fp(spec_fp ^ 0x9bd1f30a7c24e685ULL);
-    for (const Axis& axis : spec.axes) {
-      fp.mix(axis.name);
-      mix_value(fp, axis.values.front());
-    }
+    util::Fingerprint fp = prefix;
     fp.mix(static_cast<std::uint64_t>(job.protocols.size()));
     for (std::uint32_t id : job.protocols) {
       fp.mix(static_cast<std::uint64_t>(id));
@@ -151,6 +172,7 @@ void expand_explore_jobs(const ScenarioSpec& spec, std::uint64_t spec_fp,
   }
   const ExploreContext ctx = explore_context(params);
   const std::uint64_t space = explore::count_space(ctx.domain);
+  const util::Fingerprint prefix = front_values_prefix(spec, spec_fp);
 
   for (std::uint64_t begin = 0; begin < space; begin += spec.chunk) {
     const std::uint64_t end =
@@ -160,11 +182,7 @@ void expand_explore_jobs(const ScenarioSpec& spec, std::uint64_t spec_fp,
     job.params = params;
     job.protocols = {static_cast<std::uint32_t>(begin),
                      static_cast<std::uint32_t>(end)};
-    util::Fingerprint fp(spec_fp ^ 0x9bd1f30a7c24e685ULL);
-    for (const Axis& axis : spec.axes) {
-      fp.mix(axis.name);
-      mix_value(fp, axis.values.front());
-    }
+    util::Fingerprint fp = prefix;
     fp.mix(begin);
     fp.mix(end);
     job.fingerprint = fp.value();

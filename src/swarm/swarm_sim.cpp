@@ -1,6 +1,7 @@
 #include "swarm/swarm_sim.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -70,6 +71,26 @@ namespace {
 
 constexpr std::int32_t kNoPiece = -1;
 constexpr std::int32_t kNoPeer = -1;
+constexpr std::size_t kWordBits = 64;
+
+/// Calls visit(p), in ascending p, for every p in [lo, hi) whose bit is set
+/// in the bitset that `bits(w)` returns word w of.
+template <typename Bits, typename Visit>
+void for_each_bit(Bits bits, std::size_t lo, std::size_t hi, Visit&& visit) {
+  if (lo >= hi) return;
+  const std::size_t last = (hi - 1) / kWordBits;
+  for (std::size_t w = lo / kWordBits; w <= last; ++w) {
+    std::uint64_t word = bits(w);
+    if (w == lo / kWordBits) word &= ~std::uint64_t{0} << (lo % kWordBits);
+    if (w == last && hi % kWordBits != 0) {
+      word &= ~(~std::uint64_t{0} << (hi % kWordBits));
+    }
+    while (word != 0) {
+      visit(w * kWordBits + static_cast<std::size_t>(std::countr_zero(word)));
+      word &= word - 1;
+    }
+  }
+}
 
 /// Full mutable state of one swarm run. Peer 0 is the seeder; leecher l of
 /// the input sits at index l + 1.
@@ -82,18 +103,19 @@ class SwarmEngine {
         plan_(config.faults),
         n_(leechers.size() + 1),
         pieces_(config.piece_count),
+        words_((pieces_ + kWordBits - 1) / kWordBits),
         rng_(config.seed),
         // Faults draw from their own stream so an empty plan leaves the
         // baseline run bitwise-identical.
         fault_rng_(util::hash64(config.seed ^ 0x0fa17ed5eedc0deULL)),
         variant_(n_, ClientVariant::kBitTorrent),
         capacity_(n_, config.seeder_capacity_kbps),
-        have_(n_ * pieces_, 0),
+        have_(n_ * words_, 0),
         have_count_(n_, 0),
         active_(n_, 1),
         completion_tick_(n_, -1),
         availability_(pieces_, 1),  // the seeder has everything
-        claimed_(n_ * pieces_, 0),
+        claimed_(n_ * words_, 0),
         piece_from_(n_ * n_, kNoPiece),
         bytes_done_(n_ * pieces_, 0.0),
         recv_cur_(n_ * n_, 0.0),
@@ -121,7 +143,7 @@ class SwarmEngine {
       }
     }
     // Seeder starts complete.
-    for (std::size_t p = 0; p < pieces_; ++p) have_[p] = 1;
+    for (std::size_t p = 0; p < pieces_; ++p) set_bit(have_, 0, p);
     have_count_[0] = pieces_;
     completion_tick_[0] = 0;
     // Crash events fire in tick order; stable sort keeps same-tick events in
@@ -328,12 +350,10 @@ class SwarmEngine {
                                 static_cast<double>(have_count_[i]), 0.0, 0.0}},
                      .label = "crash"});
     }
-    for (std::size_t p = 0; p < pieces_; ++p) {
-      if (have_[i * pieces_ + p]) --availability_[p];
-      have_[i * pieces_ + p] = 0;
-      claimed_[i * pieces_ + p] = 0;
-      bytes_done_[i * pieces_ + p] = 0.0;
-    }
+    drop_availability(i);
+    std::fill_n(have_.begin() + i * words_, words_, 0);
+    std::fill_n(claimed_.begin() + i * words_, words_, 0);
+    std::fill_n(bytes_done_.begin() + i * pieces_, pieces_, 0.0);
     have_count_[i] = 0;
     // In-flight pieces it was receiving die with it (claimed_ row already
     // cleared above); pieces it was sending free up for other senders.
@@ -407,17 +427,25 @@ class SwarmEngine {
   }
 
   /// Abandons in-flight pieces that made no progress for the timeout window
-  /// and puts the (receiver, sender) pair in exponential backoff.
+  /// and puts the (receiver, sender) pair in exponential backoff. Only
+  /// unchoked pairs can hold a piece: every path that shrinks a sender's
+  /// unchoke list or optimistic target releases the pairs it drops. Pairs
+  /// expire independently, so the visiting order does not matter.
   void expire_timeouts(std::size_t tick) {
-    for (std::size_t pair = 0; pair < n_ * n_; ++pair) {
-      if (piece_from_[pair] == kNoPiece) continue;
-      if (tick - last_progress_[pair] < plan_.piece_timeout_ticks) continue;
-      const std::size_t receiver = pair / n_;
-      const std::size_t sender = pair % n_;
+    auto expire = [&](std::size_t receiver, std::size_t sender) {
+      const std::size_t pair = receiver * n_ + sender;
+      if (piece_from_[pair] == kNoPiece) return;
+      if (tick - last_progress_[pair] < plan_.piece_timeout_ticks) return;
       release_assignment(receiver, sender);
       ++stats_.retries_issued;
       blocked_until_[pair] = tick + backoff_[pair];
       backoff_[pair] = std::min(backoff_[pair] * 2, plan_.max_backoff_ticks);
+    };
+    for (std::size_t sender = 0; sender < n_; ++sender) {
+      for (std::uint32_t receiver : unchoked_[sender]) expire(receiver, sender);
+      if (optimistic_[sender] != kNoPeer) {
+        expire(static_cast<std::size_t>(optimistic_[sender]), sender);
+      }
     }
   }
 
@@ -456,6 +484,26 @@ class SwarmEngine {
 
   [[nodiscard]] bool is_complete(std::size_t i) const {
     return have_count_[i] == pieces_;
+  }
+
+  // --- piece bitsets: row `peer` of have_/claimed_ is words_ words ----------
+
+  void set_bit(std::vector<std::uint64_t>& rows, std::size_t peer,
+               std::size_t p) {
+    rows[peer * words_ + p / kWordBits] |= std::uint64_t{1} << (p % kWordBits);
+  }
+
+  void clear_bit(std::vector<std::uint64_t>& rows, std::size_t peer,
+                 std::size_t p) {
+    rows[peer * words_ + p / kWordBits] &=
+        ~(std::uint64_t{1} << (p % kWordBits));
+  }
+
+  /// The peer's pieces leave the swarm (crash or departure).
+  void drop_availability(std::size_t peer) {
+    const std::uint64_t* row = &have_[peer * words_];
+    for_each_bit([row](std::size_t w) { return row[w]; }, 0, pieces_,
+                 [&](std::size_t p) { --availability_[p]; });
   }
 
   /// j wants data at all (and i has at least one piece). The exact
@@ -519,7 +567,7 @@ class SwarmEngine {
     if (piece == kNoPiece) return;
     // Progress on the piece persists (block-level download, as in BT):
     // another sender can pick it up and continue where this one stopped.
-    claimed_[receiver * pieces_ + static_cast<std::size_t>(piece)] = 0;
+    clear_bit(claimed_, receiver, static_cast<std::size_t>(piece));
     piece_from_[receiver * n_ + sender] = kNoPiece;
   }
 
@@ -703,8 +751,10 @@ class SwarmEngine {
   }
 
   /// Guarantees an in-flight piece from sender to receiver, choosing the
-  /// rarest assignable piece (random tie-break). Returns false when nothing
-  /// is assignable or the pair is serving a timeout backoff.
+  /// rarest assignable piece (random tie-break: the scan starts at a random
+  /// offset, wraps around, and keeps the first strictly rarest piece).
+  /// Returns false when nothing is assignable or the pair is serving a
+  /// timeout backoff.
   bool ensure_assignment(std::size_t receiver, std::size_t sender,
                          std::size_t tick) {
     if (piece_from_[receiver * n_ + sender] != kNoPiece) return true;
@@ -714,23 +764,23 @@ class SwarmEngine {
     }
     std::size_t best = pieces_;
     std::uint32_t best_availability = 0;
-    std::size_t tie_count = 0;
     const std::size_t offset = static_cast<std::size_t>(rng_.below(pieces_));
-    for (std::size_t raw = 0; raw < pieces_; ++raw) {
-      const std::size_t p = (raw + offset) % pieces_;
-      if (!have_[sender * pieces_ + p] || have_[receiver * pieces_ + p] ||
-          claimed_[receiver * pieces_ + p]) {
-        continue;
-      }
+    const std::uint64_t* offers = &have_[sender * words_];
+    const std::uint64_t* owned = &have_[receiver * words_];
+    const std::uint64_t* claimed = &claimed_[receiver * words_];
+    auto assignable = [&](std::size_t w) {
+      return offers[w] & ~owned[w] & ~claimed[w];
+    };
+    auto consider = [&](std::size_t p) {
       if (best == pieces_ || availability_[p] < best_availability) {
         best = p;
         best_availability = availability_[p];
-        tie_count = 1;
       }
-    }
+    };
+    for_each_bit(assignable, offset, pieces_, consider);
+    for_each_bit(assignable, 0, offset, consider);
     if (best == pieces_) return false;
-    (void)tie_count;
-    claimed_[receiver * pieces_ + best] = 1;
+    set_bit(claimed_, receiver, best);
     piece_from_[receiver * n_ + sender] = static_cast<std::int32_t>(best);
     if (plan_.piece_timeout_ticks > 0) {
       last_progress_[receiver * n_ + sender] = tick;
@@ -765,7 +815,7 @@ class SwarmEngine {
     done += rate_kbps;  // one tick = one second
     if (done + 1e-9 < config_.piece_size_kb) return;
 
-    have_[receiver * pieces_ + piece] = 1;
+    set_bit(have_, receiver, piece);
     ++have_count_[receiver];
     ++availability_[piece];
     observe_progress(receiver);
@@ -793,10 +843,7 @@ class SwarmEngine {
   void process_departures() {
     for (std::uint32_t peer : departing_) {
       active_[peer] = 0;
-      // Its pieces leave the swarm.
-      for (std::size_t p = 0; p < pieces_; ++p) {
-        if (have_[peer * pieces_ + p]) --availability_[p];
-      }
+      drop_availability(peer);
       // Free pieces other peers were downloading from it.
       for (std::size_t receiver = 0; receiver < n_; ++receiver) {
         release_assignment(receiver, peer);
@@ -811,17 +858,18 @@ class SwarmEngine {
   const fault::FaultPlan& plan_;
   const std::size_t n_;
   const std::size_t pieces_;
+  const std::size_t words_;  // 64-bit words per piece bitset row
   util::Rng rng_;
   util::Rng fault_rng_;
 
   std::vector<ClientVariant> variant_;
   std::vector<double> capacity_;
-  std::vector<std::uint8_t> have_;          // [peer * pieces + p]
+  std::vector<std::uint64_t> have_;         // bit p of row peer
   std::vector<std::size_t> have_count_;
   std::vector<std::uint8_t> active_;
   std::vector<std::int64_t> completion_tick_;
   std::vector<std::uint32_t> availability_;  // active holders per piece
-  std::vector<std::uint8_t> claimed_;        // [receiver * pieces + p]
+  std::vector<std::uint64_t> claimed_;       // bit p of row receiver
   std::vector<std::int32_t> piece_from_;     // [receiver * n + sender]
   std::vector<double> bytes_done_;           // [receiver * pieces + p], KB
   std::vector<double> recv_cur_, recv_prev_;  // [receiver * n + sender], KB

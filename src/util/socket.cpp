@@ -111,6 +111,12 @@ std::optional<std::string> LineSocket::recv_line() {
   std::size_t scanned = 0;
   for (;;) {
     const std::size_t newline = buffer_.find('\n', scanned);
+    if ((newline == std::string::npos ? buffer_.size() : newline) >
+        kMaxLineBytes) {
+      buffer_ = std::string();
+      throw std::runtime_error("unix socket frame exceeds " +
+                               std::to_string(kMaxLineBytes) + " bytes");
+    }
     if (newline != std::string::npos) {
       std::string line;
       if (newline + 1 == buffer_.size()) {

@@ -20,6 +20,11 @@
 
 namespace dsa::util {
 
+/// Longest line recv_line accepts, terminator excluded. Far above any real
+/// message (a full-design-space sweep answer is ~250 KB); it bounds what
+/// one client can make a daemon buffer.
+inline constexpr std::size_t kMaxLineBytes = std::size_t{64} << 20;
+
 /// One connected stream socket with line framing. Move-only RAII over the
 /// file descriptor.
 class LineSocket {
@@ -40,8 +45,8 @@ class LineSocket {
   void send_line(std::string_view line);
 
   /// Reads the next '\n'-terminated line (without the terminator). Returns
-  /// std::nullopt on clean EOF at a frame boundary; throws on I/O errors or
-  /// EOF mid-line (a torn frame).
+  /// std::nullopt on clean EOF at a frame boundary; throws on I/O errors,
+  /// EOF mid-line (a torn frame), or a line longer than kMaxLineBytes.
   [[nodiscard]] std::optional<std::string> recv_line();
 
   /// True when recv_line() can make progress without waiting on an idle

@@ -36,8 +36,8 @@ TEST(CliArgs, TypedAccessors) {
 
 TEST(CliArgs, BadNumbersThrow) {
   const CliArgs args = parse({"cmd", "--n", "7x", "--f", "abc"});
-  EXPECT_THROW(args.get_int("n", 0), std::invalid_argument);
-  EXPECT_THROW(args.get_double("f", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_int("n", 0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_double("f", 0.0), std::invalid_argument);
 }
 
 TEST(CliArgs, BooleanFlagHasNoValue) {

@@ -56,9 +56,9 @@ TEST(DesignSpace, ErrorsOnBadInput) {
   space.add_dimension("a", {"x", "y"});
   EXPECT_THROW(space.decode(2), std::out_of_range);
   const std::vector<std::size_t> too_many{0, 0};
-  EXPECT_THROW(space.encode(too_many), std::invalid_argument);
+  EXPECT_THROW((void)space.encode(too_many), std::invalid_argument);
   const std::vector<std::size_t> bad_level{5};
-  EXPECT_THROW(space.encode(bad_level), std::invalid_argument);
+  EXPECT_THROW((void)space.encode(bad_level), std::invalid_argument);
 }
 
 TEST(DesignSpace, EmptySpaceHasSizeOne) {
@@ -360,8 +360,8 @@ TEST(SubspaceModel, RejectsBadMembers) {
   EXPECT_THROW(SubspaceModel(base, {0, 2}), std::invalid_argument);
   EXPECT_THROW(SubspaceModel(base, {0, 0}), std::invalid_argument);
   SubspaceModel ok(base, {0, 1});
-  EXPECT_THROW(ok.member(5), std::out_of_range);
-  EXPECT_THROW(ok.homogeneous_utility(2, 10, 1), std::out_of_range);
+  EXPECT_THROW((void)ok.member(5), std::out_of_range);
+  EXPECT_THROW((void)ok.homogeneous_utility(2, 10, 1), std::out_of_range);
 }
 
 // ----------------------------------------------------- HeuristicSearch ----

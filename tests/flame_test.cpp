@@ -81,7 +81,7 @@ TEST(Folded, ParserRejectsMalformedLines) {
   EXPECT_THROW(obs::parse_folded(" 5"), std::runtime_error);
   EXPECT_THROW(obs::parse_folded("a;b 1\njunk\n"), std::runtime_error);
   try {
-    obs::parse_folded("a 1\nb\n");
+    (void)obs::parse_folded("a 1\nb\n");
     FAIL() << "expected throw";
   } catch (const std::runtime_error& error) {
     EXPECT_NE(std::string(error.what()).find("line 2"), std::string::npos);

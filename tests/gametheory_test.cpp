@@ -273,7 +273,7 @@ TEST(PopulationWins, ProfileValidation) {
   profile.class_sizes = {5, 10};  // class 0 needs NC > Ur + 1: 5 <= 5
   EXPECT_FALSE(profile.valid());
   EXPECT_THROW(bittorrent_population_wins(profile), std::invalid_argument);
-  EXPECT_THROW(profile.setup_for(7), std::out_of_range);
+  EXPECT_THROW((void)profile.setup_for(7), std::out_of_range);
 }
 
 TEST(PopulationWins, SetupForComputesClassNeighborhoods) {

@@ -200,6 +200,44 @@ TEST(PlanExpansion, IsDeterministicAcrossCalls) {
   }
 }
 
+TEST(PlanExpansion, JobFingerprintsArePinned) {
+  // Job fingerprints name manifest entries and serve cache keys, so the
+  // hash chain must never drift. Literals recorded before grid expansion
+  // started reusing the chain state of unchanged leading axes.
+  const scenario::Plan grid = scenario::expand_plan(scenario::parse_scenario_text(
+      R"({"scenario": "t", "kind": "swarm", "output": "o.csv",
+          "params": {"a": ["bt", "birds", "loyal"], "b": ["bt", "sorts"],
+                     "fraction": [0.1, 0.25, 0.5, 0.75, 0.9], "runs": 2,
+                     "seed": [1, 2, 3, 4]}})"));
+  ASSERT_EQ(grid.jobs.size(), 120u);
+  const std::pair<std::size_t, std::uint64_t> grid_pins[] = {
+      {0, 0x20e59328cfd0ef73ULL},   {1, 0x1bd4a82da7b0a997ULL},
+      {4, 0xe5902b32578ebf40ULL},   {20, 0x3e8bb320b2face60ULL},
+      {40, 0xcc8dcaf83503e736ULL},  {119, 0xe82fd78deb9b5551ULL}};
+  for (const auto& [index, expected] : grid_pins) {
+    EXPECT_EQ(grid.jobs[index].fingerprint, expected) << index;
+  }
+
+  const scenario::Plan sweep = scenario::expand_plan(scenario::parse_scenario_text(
+      R"({"scenario": "t", "kind": "sweep", "output": "o.csv", "chunk": 3,
+          "params": {"protocols": "stride:500", "rounds": 40}})"));
+  ASSERT_EQ(sweep.jobs.size(), 3u);
+  EXPECT_EQ(sweep.jobs[0].fingerprint, 0x731c0a988f0e15e3ULL);
+  EXPECT_EQ(sweep.jobs[2].fingerprint, 0x8fece35fdc766b11ULL);
+
+  const scenario::Plan explore = scenario::expand_plan(scenario::parse_scenario_text(
+      R"({"scenario": "t", "kind": "explore", "output": "o.csv", "chunk": 16,
+          "params": {"a": "bt", "b": "same", "total": 20, "seed": 500,
+                     "max_ticks": 2000, "crash_leechers": 2,
+                     "crash_downtime": 60, "outage_count": 1,
+                     "outage_length": 80, "tick_start": 1, "tick_step": 40,
+                     "tick_count": 6, "max_faults": 2,
+                     "objective": "mean_time"}})"));
+  ASSERT_EQ(explore.jobs.size(), 8u);
+  EXPECT_EQ(explore.jobs[0].fingerprint, 0xc525fc484da83428ULL);
+  EXPECT_EQ(explore.jobs[7].fingerprint, 0x0e2717bf149db70bULL);
+}
+
 TEST(PlanExpansion, SweepShardsSelectionIntoChunks) {
   const scenario::Plan plan = scenario::expand_plan(scenario::parse_scenario_text(
       R"({"scenario": "t", "kind": "sweep", "output": "o.csv", "chunk": 3,

@@ -5,10 +5,14 @@
 // answer, cold or cached, at any thread count and from any engine, must be
 // byte-identical to the CSV `dsa_cli run` writes.
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -28,6 +32,7 @@
 #include "serve/server.hpp"
 #include "util/csv.hpp"
 #include "util/json.hpp"
+#include "util/socket.hpp"
 
 namespace {
 
@@ -495,6 +500,40 @@ TEST_F(ServeTest, MalformedSpecIsAServerSideErrorNotADisconnect) {
   // The connection survives the failed query.
   client.ping();
   EXPECT_EQ(daemon.server().counters().at("queries_failed"), 1u);
+}
+
+TEST_F(ServeTest, OversizedFrameDropsOnlyThatConnection) {
+  Daemon daemon(daemon_options(dir_));
+  // A raw client streams one frame past the line cap and never ends it.
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un address{};
+  address.sun_family = AF_UNIX;
+  const std::string path = daemon.server().socket_path().string();
+  std::memcpy(address.sun_path, path.c_str(), path.size() + 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&address),
+                      sizeof(address)),
+            0);
+  const std::string chunk(1 << 20, 'x');
+  std::size_t sent = 0;
+  while (sent <= util::kMaxLineBytes + chunk.size()) {
+    const ssize_t n = ::send(fd, chunk.data(), chunk.size(), MSG_NOSIGNAL);
+    if (n <= 0) break;  // the daemon already hung up
+    sent += static_cast<std::size_t>(n);
+  }
+  // The daemon closes the connection without an answer. Close our end
+  // before checking, so a daemon that kept reading cannot hang the test.
+  pollfd pfd{fd, POLLIN, 0};
+  const int ready = ::poll(&pfd, 1, 30000);
+  char byte = 0;
+  const ssize_t got = ready == 1 ? ::recv(fd, &byte, 1, MSG_DONTWAIT) : 1;
+  ::close(fd);
+  EXPECT_EQ(ready, 1) << "the oversized connection is still open";
+  EXPECT_LE(got, 0);
+
+  // Other clients are still served.
+  serve::Client client(daemon.server().socket_path());
+  client.ping();
 }
 
 TEST_F(ServeTest, ShutdownRequestStopsTheServeLoop) {

@@ -193,7 +193,7 @@ TEST(FrequencyGrid, RowRelativeFrequencies) {
 TEST(FrequencyGrid, BoundsChecking) {
   FrequencyGrid grid(2, 3);
   EXPECT_THROW(grid.add(0.5, 3), std::out_of_range);
-  EXPECT_THROW(grid.count(2, 0), std::out_of_range);
+  EXPECT_THROW((void)grid.count(2, 0), std::out_of_range);
   EXPECT_THROW(FrequencyGrid(0, 1), std::invalid_argument);
 }
 
@@ -272,7 +272,7 @@ TEST(Matrix, ShapeErrors) {
   EXPECT_THROW(a * b, std::invalid_argument);
   EXPECT_THROW(a.solve(std::vector<double>{1.0, 2.0}), std::invalid_argument);
   EXPECT_THROW(Matrix::from_rows({{1.0}, {1.0, 2.0}}), std::invalid_argument);
-  EXPECT_THROW(a.at(5, 0), std::out_of_range);
+  EXPECT_THROW((void)a.at(5, 0), std::out_of_range);
 }
 
 // --------------------------------------------------------- regression ----
@@ -328,7 +328,7 @@ TEST(Ols, PredictAppliesIntercept) {
   }
   const OlsFit fit = model.fit();
   EXPECT_NEAR(fit.predict(std::vector<double>{4.0}), 17.0, 1e-9);
-  EXPECT_THROW(fit.predict(std::vector<double>{1.0, 2.0}),
+  EXPECT_THROW((void)fit.predict(std::vector<double>{1.0, 2.0}),
                std::invalid_argument);
 }
 
@@ -370,7 +370,7 @@ TEST(Ols, UnknownCoefficientThrows) {
     model.add(std::vector<double>{static_cast<double>(i)}, i * 1.0 + 0.1 * (i % 2));
   }
   const OlsFit fit = model.fit();
-  EXPECT_THROW(fit.coefficient("nope"), std::out_of_range);
+  EXPECT_THROW((void)fit.coefficient("nope"), std::out_of_range);
 }
 
 // ----------------------------------------------------------- bootstrap ----

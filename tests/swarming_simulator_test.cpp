@@ -113,8 +113,8 @@ TEST(RoundSim, GroupMeanChecksRange) {
   EXPECT_DOUBLE_EQ(outcome.group_mean(0, 2), 1.5);
   EXPECT_DOUBLE_EQ(outcome.group_mean(2, 4), 3.5);
   EXPECT_DOUBLE_EQ(outcome.population_mean(), 2.5);
-  EXPECT_THROW(outcome.group_mean(2, 2), std::invalid_argument);
-  EXPECT_THROW(outcome.group_mean(0, 9), std::invalid_argument);
+  EXPECT_THROW((void)outcome.group_mean(2, 2), std::invalid_argument);
+  EXPECT_THROW((void)outcome.group_mean(0, 9), std::invalid_argument);
 }
 
 // ---------------------------------------------- paper-critical behavior ----

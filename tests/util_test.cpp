@@ -386,14 +386,14 @@ TEST(LineSocket, SendLineFramesLargeLinesAndRejectsNewlines) {
 TEST(CsvTable, UnknownColumnThrows) {
   CsvTable table({"a"});
   table.add_row({"1"});
-  EXPECT_THROW(table.column("missing"), std::out_of_range);
-  EXPECT_THROW(table.at(0, "missing"), std::out_of_range);
+  EXPECT_THROW((void)table.column("missing"), std::out_of_range);
+  EXPECT_THROW((void)table.at(0, "missing"), std::out_of_range);
 }
 
 TEST(CsvTable, NonNumericFieldThrows) {
   CsvTable table({"a"});
   table.add_row({"not-a-number"});
-  EXPECT_THROW(table.number_at(0, "a"), std::invalid_argument);
+  EXPECT_THROW((void)table.number_at(0, "a"), std::invalid_argument);
 }
 
 TEST(CsvTable, LoadMissingFileThrows) {
