@@ -16,6 +16,7 @@
 #include "scenario/manifest.hpp"
 #include "stats/descriptive.hpp"
 #include "util/csv.hpp"
+#include "util/fs.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dsa::scenario {
@@ -25,6 +26,24 @@ std::filesystem::path manifest_path(const Plan& plan) {
   path += ".manifest-" + hex16(plan.spec_fingerprint) + ".jsonl";
   return path;
 }
+
+std::filesystem::path spec_sidecar_path(const Plan& plan) {
+  std::filesystem::path path = plan.spec.output;
+  path += ".spec";
+  return path;
+}
+
+namespace {
+
+/// The fingerprint a sidecar records, or "" when there is none.
+std::string read_sidecar(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::string recorded;
+  if (in) std::getline(in, recorded);
+  return recorded;
+}
+
+}  // namespace
 
 std::vector<std::size_t> completed_jobs_in_manifest(const Plan& plan) {
   const ManifestData data = load_manifest(plan, manifest_path(plan));
@@ -42,15 +61,36 @@ RunReport run_scenario(const Plan& plan, const RunOptions& options) {
   report.output = plan.spec.output;
   report.manifest = manifest_path(plan);
 
+  // An existing output is reused unless its sidecar names another spec.
+  // An output with no sidecar predates sidecars (or was placed by hand)
+  // and is reused as before.
+  const std::filesystem::path sidecar = spec_sidecar_path(plan);
+  const std::string fingerprint = hex16(plan.spec_fingerprint);
   if (std::filesystem::exists(plan.spec.output)) {
-    report.reused_output = true;
-    report.skipped = report.total;
-    if (options.verbose) {
-      std::fprintf(stderr, "scenario '%s': output %s already exists\n",
-                   plan.spec.name.c_str(),
-                   plan.spec.output.string().c_str());
+    const std::string recorded = read_sidecar(sidecar);
+    if (recorded.empty() || recorded == fingerprint) {
+      report.reused_output = true;
+      report.skipped = report.total;
+      if (options.verbose) {
+        std::fprintf(stderr, "scenario '%s': output %s already exists\n",
+                     plan.spec.name.c_str(),
+                     plan.spec.output.string().c_str());
+      }
+      return report;
     }
-    return report;
+    if (options.verbose) {
+      std::fprintf(stderr,
+                   "scenario '%s': output %s was written by spec %s, not "
+                   "this spec's %s; recomputing\n",
+                   plan.spec.name.c_str(), plan.spec.output.string().c_str(),
+                   recorded.c_str(), fingerprint.c_str());
+    }
+    // Drop the stale output with its sidecar: a run killed before its merge
+    // must leave no output, or the rerun would take the no-sidecar branch
+    // above and reuse the other spec's numbers.
+    std::error_code ignored;
+    std::filesystem::remove(plan.spec.output, ignored);
+    std::filesystem::remove(sidecar, ignored);
   }
 
   // Heartbeat + time-series for `dsa_cli top`/`status`: one shard per job.
@@ -279,6 +319,9 @@ RunReport run_scenario(const Plan& plan, const RunOptions& options) {
   telemetry.set_phase("merge");
   {
     DSA_OBS_PHASE("scenario/merge");
+    // Sidecar first: a run killed between the two writes leaves a sidecar
+    // with no output, which every rerun recomputes.
+    util::atomic_write(sidecar, fingerprint + "\n");
     merge_rows(plan, results).save(plan.spec.output);
   }
   if (!options.keep_manifest) {

@@ -68,6 +68,10 @@ struct RunAborted : std::runtime_error {
 /// Where the plan's manifest lives: `<output>.manifest-<16 hex>.jsonl`.
 [[nodiscard]] std::filesystem::path manifest_path(const Plan& plan);
 
+/// Where a finished run records which spec wrote its output:
+/// `<output>.spec`, holding hex16(spec_fingerprint).
+[[nodiscard]] std::filesystem::path spec_sidecar_path(const Plan& plan);
+
 /// Job indices a manifest already holds valid results for (ascending).
 /// Missing, foreign, or torn manifests yield the valid prefix (possibly
 /// empty) — the same data a resumed run would reuse.

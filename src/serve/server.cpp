@@ -1,5 +1,7 @@
 #include "serve/server.hpp"
 
+#include <sys/socket.h>
+
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -69,10 +71,26 @@ void Server::serve(std::atomic<bool>& stop) {
     util::LineSocket connection = listener_.accept(options_.poll_ms);
     if (!connection.valid()) continue;  // timeout or EINTR — re-check stop
     connections_.fetch_add(1, std::memory_order_relaxed);
+    const int fd = connection.fd();
+    {
+      std::lock_guard lock(live_mutex_);
+      live_fds_.push_back(fd);
+    }
     connections.emplace_back(
-        [this, &stop, conn = std::move(connection)]() mutable {
-          handle_connection(std::move(conn), stop);
+        [this, &stop, fd, conn = std::move(connection)]() mutable {
+          handle_connection(conn, stop);
+          // Forget the descriptor before the closure closes it, so the
+          // shutdown below never reaches a reused descriptor number.
+          std::lock_guard lock(live_mutex_);
+          std::erase(live_fds_, fd);
         });
+  }
+  {
+    // A handler blocked on a half-sent line only wakes when its socket
+    // does; shutting down the read side ends that read with EOF. The write
+    // side stays open, so a query already running still sends its answer.
+    std::lock_guard lock(live_mutex_);
+    for (const int fd : live_fds_) ::shutdown(fd, SHUT_RD);
   }
   for (std::thread& thread : connections) thread.join();
   pool_.wait_idle();
@@ -85,7 +103,7 @@ void Server::serve(std::atomic<bool>& stop) {
   }
 }
 
-void Server::handle_connection(util::LineSocket connection,
+void Server::handle_connection(util::LineSocket& connection,
                                std::atomic<bool>& stop) {
   std::mutex write_mutex;  // progress events interleave from pool workers
   try {

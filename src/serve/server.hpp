@@ -18,7 +18,9 @@
 #include <cstdint>
 #include <filesystem>
 #include <map>
+#include <mutex>
 #include <string>
+#include <vector>
 
 #include "obs/telemetry.hpp"
 #include "serve/cache.hpp"
@@ -58,7 +60,7 @@ class Server {
   [[nodiscard]] std::map<std::string, std::uint64_t> counters() const;
 
  private:
-  void handle_connection(util::LineSocket connection,
+  void handle_connection(util::LineSocket& connection,
                          std::atomic<bool>& stop);
   void handle_query(util::LineSocket& connection, std::mutex& write_mutex,
                     const std::string& spec_text, const std::string& want);
@@ -67,6 +69,11 @@ class Server {
   ResultCache cache_;
   util::ThreadPool pool_;
   util::UnixListener listener_;
+  /// Descriptors of the open connections. A handler waits in recv for the
+  /// rest of a half-sent line, so stopping shuts down their read sides to
+  /// wake it; a handler drops its descriptor from here before closing it.
+  std::mutex live_mutex_;
+  std::vector<int> live_fds_;
   obs::TelemetryRun telemetry_;
   std::atomic<std::uint64_t> queries_{0};
   std::atomic<std::uint64_t> queries_failed_{0};

@@ -19,15 +19,37 @@ namespace dsa::swarming {
 // ------------------------------------------------------------ workspace --
 
 struct BatchWorkspace::Impl {
-  using Cell = SimWorkspace::Impl::Cell;
-  using Streak = SimWorkspace::Impl::Streak;
-  using Generation = SimWorkspace::Impl::Generation;
-  using RankEntry = SimWorkspace::Impl::RankEntry;
+  /// A slot's bandwidth and the epoch stamp that says whether it is live.
+  /// Packed together so a give or a stamped read touches one cache line.
+  struct Cell {
+    double value;
+    std::uint64_t stamp;
+  };
+  struct Streak {
+    std::uint64_t stamp;
+    std::uint16_t value;
+  };
 
-  /// One lane's interaction history: the same epoch-stamped generations and
-  /// streak table the sparse engine keeps, private to the lane. Histories
-  /// stay array-of-lanes (act() walks one lane's in-lists at a time); only
-  /// the per-peer scalars below transpose into W-wide lanes.
+  /// One generation of a lane's interaction history. The now/prev/next
+  /// roles rotate between rounds instead of copying. cell[receiver * n +
+  /// giver] carries a slot's bandwidth; the slot exists only while its
+  /// stamp matches the generation's epoch, so recycling a generation is an
+  /// epoch bump plus list clears instead of an O(n^2) fill, and
+  /// invalidating a churned peer's history is an O(n) stamp walk.
+  struct Generation {
+    std::vector<Cell> cell;
+    std::uint64_t epoch = 0;
+    /// Per receiver: the givers that opened a slot to it this round, in
+    /// ascending order (peers act in index order). Doubles as the round's
+    /// touched-cell list — each ordered (giver, receiver) pair opens at
+    /// most one slot per round.
+    std::vector<std::vector<std::uint32_t>> in;
+  };
+
+  /// One lane's interaction history: epoch-stamped generations and a
+  /// streak table, private to the lane. Histories stay array-of-lanes
+  /// (act() walks one lane's in-lists at a time); only the per-peer
+  /// scalars below transpose into W-wide lanes.
   struct LaneHist {
     std::array<Generation, 3> gen;
     std::vector<Streak> streak;
@@ -35,9 +57,10 @@ struct BatchWorkspace::Impl {
   };
 
   std::vector<LaneHist> lane;
-  /// Monotone epoch source shared by every lane — uniqueness is all that
-  /// stamp liveness needs, and one counter keeps cross-run reuse safe for
-  /// the whole batch exactly as in SimWorkspace::Impl.
+  /// Monotone epoch source shared by every lane, never reset: stamps
+  /// written in earlier rounds or earlier runs can never collide with a
+  /// live epoch, which is what makes cross-run reuse safe without clearing
+  /// the O(n^2) arrays.
   std::uint64_t epoch_counter = 0;
 
   std::size_t width = 0;  // W of the current batch
@@ -152,9 +175,8 @@ namespace {
 /// n*W state lanes, and the protocol/config tables stay hot across the
 /// whole batch instead of being re-walked per run.
 class BatchEngine {
-  using Cell = SimWorkspace::Impl::Cell;
-  using Generation = SimWorkspace::Impl::Generation;
-  using RankEntry = SimWorkspace::Impl::RankEntry;
+  using Cell = BatchWorkspace::Impl::Cell;
+  using Generation = BatchWorkspace::Impl::Generation;
 
  public:
   BatchEngine(std::span<const BatchLane> lanes,
@@ -296,8 +318,9 @@ class BatchEngine {
     finish_round(round);
   }
 
-  /// Candidate list of `me` on lane `w` — identical merge logic to
-  /// SparseEngine::build_candidates over the lane's private generations.
+  /// Candidate list of `me` on lane `w`, in ascending peer order: the
+  /// lane's ascending giver lists merged, keeping givers whose slot is
+  /// still live in either generation.
   void build_candidates(std::size_t w, std::size_t me, bool two_rounds) {
     auto& candidates = ws_.candidates;
     candidates.clear();
@@ -492,7 +515,7 @@ class BatchEngine {
 
   [[nodiscard]] double streak_of(std::size_t w, std::size_t me,
                                  std::size_t j) const {
-    const SimWorkspace::Impl::Streak& s = ws_.lane[w].streak[me * n_ + j];
+    const BatchWorkspace::Impl::Streak& s = ws_.lane[w].streak[me * n_ + j];
     return s.stamp == ws_.lane[w].streak_epoch ? static_cast<double>(s.value)
                                                : 0.0;
   }
@@ -582,8 +605,8 @@ class BatchEngine {
     }
   }
 
-  /// Virtual-list stranger picks, identical to SparseEngine::pick_strangers
-  /// (same draws, same overlay) with the draws taken from lane w's stream.
+  /// Virtual-list stranger picks, the same draws as
+  /// SparseEngine::pick_strangers, taken from lane w's stream.
   std::size_t pick_strangers(std::size_t w, std::size_t me,
                              std::size_t want) {
     auto& excluded = ws_.excluded_scratch;
@@ -671,7 +694,7 @@ class BatchEngine {
         for (const std::uint32_t giver : now.in[to]) {
           const std::size_t idx = base + giver;
           if (now.cell[idx].value > 0.0) {
-            SimWorkspace::Impl::Streak& s = hist.streak[idx];
+            BatchWorkspace::Impl::Streak& s = hist.streak[idx];
             const int prev_streak =
                 s.stamp == hist.streak_epoch ? s.value : 0;
             s.value = static_cast<std::uint16_t>(

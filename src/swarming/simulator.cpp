@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <span>
 #include <stdexcept>
@@ -60,8 +61,7 @@ double SimulationOutcome::population_mean() const {
 }
 
 // ------------------------------------------------------------ workspace --
-// SimWorkspace::Impl itself is defined in engine_detail.hpp, shared with the
-// batch-lockstep engine.
+// SimWorkspace::Impl itself is defined in engine_detail.hpp.
 
 SimWorkspace::SimWorkspace() : impl_(std::make_unique<Impl>()) {}
 SimWorkspace::~SimWorkspace() = default;
@@ -634,19 +634,20 @@ class DenseEngine {
 /// floating-point operations in the same order as DenseEngine — the
 /// simulator tests assert bitwise-identical outcomes — but with the state
 /// held in a reusable SimWorkspace and per-round cost proportional to the
-/// slots actually opened, O(n * (k + h)), instead of O(n^2):
+/// slots actually opened plus n·⌈n/64⌉ words of bit rows:
 ///
-///  * The three history generations rotate roles; recycling one bumps its
-///    epoch instead of refilling n^2 cells, and stamp mismatches read as
-///    "no slot" / 0.0.
-///  * Candidate lists come from per-receiver incoming-giver lists (built
-///    ascending as peers act in index order, so the merged candidate order
-///    matches the dense engine's ascending row scan exactly).
-///  * Streaks update only over the cells touched this round; absent stamped
-///    entries are streak 0, which is exactly what the dense full-matrix
-///    pass computes for untouched cells.
-///  * Churn invalidates a peer's history with an O(n) stamp walk (stamp 0
-///    is never a live epoch), mirroring the dense row/column zeroing.
+///  * Each history generation is one bit row per receiver (bit g: giver g
+///    opened a slot this round) over a plain n^2 value array. The three
+///    generations rotate roles; recycling one zeroes its bit rows.
+///  * Candidate lists walk the set bits of now[me] (TF2T: now[me] |
+///    prev[me]) in ascending order, which is the dense row scan's order;
+///    the same words plus bit `me` are the stranger-exclusion set.
+///  * Only the state some peer reads is kept: the streak table when a
+///    Loyal ranker has partner slots, the aspiration levels when an
+///    Adaptive one does, and the per-candidate window for Fastest/Slowest.
+///    Protocols are fixed for a run and churn keeps a peer's protocol, so
+///    this is decided once per run.
+///  * Churn clears the churned peer's bit row and its bit in every row.
 class SparseEngine {
   using Generation = SimWorkspace::Impl::Generation;
 
@@ -662,7 +663,13 @@ class SparseEngine {
         n_(protocols.size()),
         rng_(config.seed),
         ws_(ws) {
-    ws_.prepare(n_, capacities);
+    for (const ProtocolSpec& spec : protocols) {
+      if (spec.partner_slots == 0) continue;
+      keep_streaks_ |= spec.ranking == RankingFunction::kLoyal;
+      keep_aspiration_ |= spec.ranking == RankingFunction::kAdaptive;
+    }
+    ws_.prepare(n_, capacities, keep_streaks_);
+    words_ = ws_.words;
   }
 
   SimulationOutcome run() {
@@ -731,6 +738,16 @@ class SparseEngine {
   [[nodiscard]] Generation& gen(int role) { return ws_.gen[role]; }
   [[nodiscard]] const Generation& gen(int role) const { return ws_.gen[role]; }
 
+  /// Receiver `me`'s bit row in the generation playing `role`.
+  [[nodiscard]] const std::uint64_t* bit_row(int role, std::size_t me) const {
+    return &gen(role).bits[me * words_];
+  }
+
+  [[nodiscard]] static bool has_bit(const std::uint64_t* row,
+                                    std::size_t j) noexcept {
+    return (row[j / 64] >> (j % 64)) & 1U;
+  }
+
   void step(std::size_t round) {
     std::fill(ws_.round_received.begin(), ws_.round_received.end(), 0.0);
     // Same tie-break draws, in the same RNG positions, as the dense engine.
@@ -754,63 +771,39 @@ class SparseEngine {
     finish_round(round);
   }
 
-  /// Builds the candidate list of `me` — everyone with a live slot to it in
-  /// the window — in ascending peer order, matching the dense row scan.
-  void build_candidates(std::size_t me, bool two_rounds) {
-    auto& candidates = ws_.candidates;
-    candidates.clear();
-    ws_.candidate_window.clear();
-    const Generation& now = gen(now_);
-    const std::size_t base = me * n_;
-    // Each push records the candidate's window bandwidth alongside it; the
-    // arithmetic mirrors window_received() addend for addend, so a ranking
-    // key read from candidate_window is bit-equal to recomputing it.
-    auto push = [&](std::uint32_t j, double window) {
-      candidates.push_back(j);
-      ws_.candidate_window.push_back(window);
-    };
-    const std::vector<std::uint32_t>& now_in = now.in[me];
-    if (!two_rounds) {
-      for (const std::uint32_t j : now_in) {
-        const SimWorkspace::Impl::Cell& cell = now.cell[base + j];
-        if (cell.stamp == now.epoch) push(j, cell.value);
-      }
-      return;
-    }
-    // Merge the two ascending giver lists, deduplicating; a giver counts if
-    // its slot in either generation is still live (churn may have stamped
-    // one of them out).
-    const Generation& prev = gen(prev_);
-    const std::vector<std::uint32_t>& prev_in = prev.in[me];
-    std::size_t a = 0;
-    std::size_t b = 0;
-    while (a < now_in.size() || b < prev_in.size()) {
-      if (b == prev_in.size() ||
-          (a < now_in.size() && now_in[a] < prev_in[b])) {
-        // Only in now's list: the prev generation never wrote this cell, so
-        // the prev addend of the window is exactly 0.0.
-        const std::uint32_t j = now_in[a++];
-        const SimWorkspace::Impl::Cell& cell = now.cell[base + j];
-        if (cell.stamp == now.epoch) push(j, cell.value + 0.0);
-      } else if (a == now_in.size() || prev_in[b] < now_in[a]) {
-        const std::uint32_t j = prev_in[b++];
-        const SimWorkspace::Impl::Cell& cell = prev.cell[base + j];
-        if (cell.stamp == prev.epoch) push(j, 0.0 + cell.value);
-      } else {
-        const std::uint32_t j = now_in[a];
-        ++a;
-        ++b;
-        const SimWorkspace::Impl::Cell& now_cell = now.cell[base + j];
-        const SimWorkspace::Impl::Cell& prev_cell = prev.cell[base + j];
-        const bool now_live = now_cell.stamp == now.epoch;
-        const bool prev_live = prev_cell.stamp == prev.epoch;
-        if (now_live || prev_live) {
-          double window = now_live ? now_cell.value : 0.0;
-          window += prev_live ? prev_cell.value : 0.0;
-          push(j, window);
+  /// Writes the candidate list of `me` — everyone with a slot to it in the
+  /// window — to the front of ws_.candidates in ascending peer order,
+  /// matching the dense row scan, and returns its length. With
+  /// `record_window` each candidate's window bandwidth is recorded beside
+  /// it, addend for addend what window_received() computes, so a ranking
+  /// key read from candidate_window is bit-equal to recomputing it.
+  std::size_t build_candidates(std::size_t me, bool two_rounds,
+                               bool record_window) {
+    std::uint32_t* candidates = ws_.candidates.data();
+    double* windows = ws_.candidate_window.data();
+    const std::uint64_t* now_bits = bit_row(now_, me);
+    const std::uint64_t* prev_bits = bit_row(prev_, me);
+    const double* now_value = &gen(now_).value[me * n_];
+    const double* prev_value = &gen(prev_).value[me * n_];
+    std::size_t count = 0;
+    for (std::size_t w = 0; w < words_; ++w) {
+      const std::uint64_t now_word = now_bits[w];
+      const std::uint64_t prev_word = two_rounds ? prev_bits[w] : 0;
+      for (std::uint64_t live = now_word | prev_word; live != 0;
+           live &= live - 1) {
+        const int bit = std::countr_zero(live);
+        const auto j = static_cast<std::uint32_t>(w * 64 + bit);
+        if (record_window) {
+          double window = (now_word >> bit) & 1U ? now_value[j] : 0.0;
+          if (two_rounds) {
+            window += (prev_word >> bit) & 1U ? prev_value[j] : 0.0;
+          }
+          windows[count] = window;
         }
+        candidates[count++] = j;
       }
     }
+    return count;
   }
 
   template <bool kRecordFull>
@@ -819,17 +812,28 @@ class SparseEngine {
     const bool two_rounds = spec.window == CandidateWindow::kTf2t;
 
     // 1. Candidate list (see build_candidates).
-    build_candidates(me, two_rounds);
-    auto& candidates = ws_.candidates;
-    candidates_scanned_ += candidates.size();  // only live slots are touched
-    // Snapshot the ascending candidate set before ranking permutes the
-    // list: it is the stranger-exclusion set.
-    ws_.excluded_scratch.assign(candidates.begin(), candidates.end());
+    const std::size_t candidate_count = build_candidates(
+        me, two_rounds,
+        spec.ranking == RankingFunction::kFastest ||
+            spec.ranking == RankingFunction::kSlowest);
+    const std::uint32_t* candidates = ws_.candidates.data();
+    candidates_scanned_ += candidate_count;  // only live slots are touched
 
-    // 2. Rank and select the top k partners.
+    // 2. Rank and select the top k partners. When every candidate is
+    // selected, ranking only orders them, and only Prop Share's running
+    // sum and Random's draws read that order: the gives go to distinct
+    // receivers, and each receiver's sum still accumulates in `me` order.
+    // A full recording ranks anyway, so its events are emitted in the
+    // dense engine's order. No test observes this: the recorder sorts
+    // events by peer before anything reads them.
     const std::size_t k = spec.partner_slots;
-    std::size_t partner_count = std::min(k, candidates.size());
-    if (partner_count > 0) rank_candidates(me, spec, partner_count);
+    std::size_t partner_count = std::min(k, candidate_count);
+    const bool reads_order = kRecordFull ||
+                             spec.allocation == AllocationPolicy::kPropShare ||
+                             spec.ranking == RankingFunction::kRandom;
+    if (partner_count > 0 && (partner_count < candidate_count || reads_order)) {
+      rank_candidates(me, spec, candidate_count, partner_count);
+    }
 
     // 3. Strangers — same "when needed" fullness rule as the dense engine.
     std::size_t stranger_count = 0;
@@ -845,7 +849,8 @@ class SparseEngine {
         wants_strangers = contributing < k;
       }
       if (wants_strangers) {
-        stranger_count = pick_strangers(me, spec.stranger_slots);
+        stranger_count = pick_strangers(me, spec.stranger_slots, two_rounds,
+                                        candidate_count);
       }
     }
 
@@ -865,7 +870,7 @@ class SparseEngine {
                      .run = config_.seed,
                      .time = round_,
                      .actor = static_cast<std::uint32_t>(me),
-                     .value = {{static_cast<double>(candidates.size()),
+                     .value = {{static_cast<double>(candidate_count),
                                 static_cast<double>(partner_count),
                                 static_cast<double>(stranger_count),
                                 static_cast<double>(lanes)}}});
@@ -944,43 +949,34 @@ class SparseEngine {
     }
   }
 
-  /// Bandwidth `me` observed from `j` over the window: stamped reads, so a
-  /// recycled or churn-invalidated cell contributes exactly 0.0.
+  /// Bandwidth `me` observed from `j` over the window; a slot whose bit is
+  /// clear (never opened, recycled, or churned away) contributes 0.0.
   [[nodiscard]] double window_received(std::size_t me, std::size_t j,
                                        bool two_rounds) const {
     const std::size_t idx = me * n_ + j;
-    const Generation& now = gen(now_);
-    const SimWorkspace::Impl::Cell& now_cell = now.cell[idx];
-    double amount = now_cell.stamp == now.epoch ? now_cell.value : 0.0;
+    double amount = has_bit(bit_row(now_, me), j) ? gen(now_).value[idx] : 0.0;
     if (two_rounds) {
-      const Generation& prev = gen(prev_);
-      const SimWorkspace::Impl::Cell& prev_cell = prev.cell[idx];
-      amount += prev_cell.stamp == prev.epoch ? prev_cell.value : 0.0;
+      amount += has_bit(bit_row(prev_, me), j) ? gen(prev_).value[idx] : 0.0;
     }
     return amount;
   }
 
-  [[nodiscard]] double streak_of(std::size_t me, std::size_t j) const {
-    const SimWorkspace::Impl::Streak& s = ws_.streak[me * n_ + j];
-    return s.stamp == ws_.streak_epoch ? static_cast<double>(s.value) : 0.0;
-  }
-
+  /// Moves the selected `top` of the first `count` candidates to the
+  /// front, in rank order.
   void rank_candidates(std::size_t me, const ProtocolSpec& spec,
-                       std::size_t top) {
-    auto& candidates = ws_.candidates;
+                       std::size_t count, std::size_t top) {
+    std::uint32_t* candidates = ws_.candidates.data();
     // The ordering (key, then tie priority, then index) is a strict total
     // order, so the selected top-k — and their order — is the same for any
     // correct selection algorithm; hoisting the keys out of the comparator
     // cannot change the result, only the cost per comparison.
     auto by_key = [&](auto key, bool descending) {
-      using RankEntry = SimWorkspace::Impl::RankEntry;
       auto cmp = [descending](const RankEntry& a, const RankEntry& b) {
         if (a.key != b.key) return descending ? a.key > b.key : a.key < b.key;
         if (a.tie != b.tie) return a.tie < b.tie;
         return a.id < b.id;
       };
       constexpr std::size_t kSmallTop = 16;  // design space: k <= 9
-      const std::size_t count = candidates.size();
       if (top <= kSmallTop) {
         ++topk_boundary_scans_;
         // Boundary-scan selection: keep a sorted window of the best `top`
@@ -1044,13 +1040,16 @@ class SparseEngine {
             /*descending=*/false);
         break;
       case RankingFunction::kLoyal:
-        by_key([&](std::size_t, std::uint32_t j) { return streak_of(me, j); },
-               /*descending=*/true);
+        by_key(
+            [&](std::size_t, std::uint32_t j) {
+              return static_cast<double>(ws_.streak[me * n_ + j]);
+            },
+            /*descending=*/true);
         break;
       case RankingFunction::kRandom:
         for (std::size_t i = 0; i < top; ++i) {
           const std::size_t j =
-              i + static_cast<std::size_t>(rng_.below(candidates.size() - i));
+              i + static_cast<std::size_t>(rng_.below(count - i));
           std::swap(candidates[i], candidates[j]);
         }
         break;
@@ -1061,27 +1060,34 @@ class SparseEngine {
   /// engine builds `eligible` = ascending [0, n) minus {me} minus the
   /// candidates, then partially Fisher-Yates-shuffles its front; here the
   /// same draws (`below(eligible_size - i)`, identical arguments, identical
-  /// order) index a *virtual* copy of that list through util::VirtualShuffle:
-  /// position x resolves to the x-th non-excluded peer in O(|excluded|), and
-  /// the handful of swaps the shuffle would have made live in its overlay.
-  std::size_t pick_strangers(std::size_t me, std::size_t want) {
-    // excluded_scratch already holds the ascending candidate set (snapshot
-    // taken in act() before ranking permuted the list); slot `me` in.
-    auto& excluded = ws_.excluded_scratch;
-    const auto me_id = static_cast<std::uint32_t>(me);
-    excluded.insert(std::lower_bound(excluded.begin(), excluded.end(), me_id),
-                    me_id);
-    const std::size_t eligible_size = n_ - excluded.size();
+  /// order) index a *virtual* copy of that list through util::VirtualShuffle.
+  /// The exclusion set is the candidate bit row (TF2T: now | prev) plus bit
+  /// `me`, read in place.
+  std::size_t pick_strangers(std::size_t me, std::size_t want, bool two_rounds,
+                             std::size_t candidate_count) {
+    const std::size_t eligible_size = n_ - candidate_count - 1;
+    const std::uint64_t* now_bits = bit_row(now_, me);
+    const std::uint64_t* prev_bits = bit_row(prev_, me);
+    const std::uint64_t prev_mask = two_rounds ? ~std::uint64_t{0} : 0;
+    const std::size_t me_word = me / 64;
+    const std::uint64_t me_bit = std::uint64_t{1} << (me % 64);
 
-    // x-th element of ascending [0, n) minus the sorted exclusions. The
-    // full walk is branch-predictable (a conditional increment, no early
-    // exit) and the exclusion list is small.
+    // x-th element of ascending [0, n) minus the exclusions: walk the
+    // excluded peers in ascending order, stepping past each one at or
+    // below the running value.
     auto base = [&](std::size_t x) {
-      std::uint32_t value = static_cast<std::uint32_t>(x);
-      for (const std::uint32_t e : excluded) {
-        if (e <= value) ++value;
+      std::size_t value = x;
+      for (std::size_t w = 0; w < words_; ++w) {
+        std::uint64_t excluded = now_bits[w] | (prev_bits[w] & prev_mask);
+        if (w == me_word) excluded |= me_bit;
+        for (; excluded != 0; excluded &= excluded - 1) {
+          if (w * 64 + std::countr_zero(excluded) > value) {
+            return static_cast<std::uint32_t>(value);
+          }
+          ++value;
+        }
       }
-      return value;
+      return static_cast<std::uint32_t>(value);
     };
     const std::size_t found = std::min(want, eligible_size);
     ws_.eligible_strangers.clear();
@@ -1095,80 +1101,75 @@ class SparseEngine {
   /// Opens a slot from `me` to `to` carrying `amount` (possibly zero).
   void give(std::size_t me, std::size_t to, double amount) {
     Generation& next = gen(next_);
-    next.cell[to * n_ + me] = {amount, next.epoch};
-    next.in[to].push_back(static_cast<std::uint32_t>(me));
+    next.value[to * n_ + me] = amount;
+    next.bits[to * words_ + me / 64] |= std::uint64_t{1} << (me % 64);
     ws_.round_received[to] += amount;
   }
 
   void finish_round(std::size_t round) {
     auto& round_received = ws_.round_received;
 
-    // Receiver intake cap, over the touched cells only. Every touched cell
-    // of `next` is still live here (nothing can invalidate `next` before
-    // the swap), and scaling untouched cells would multiply zeros.
+    // Receiver intake cap, over the slots opened this round only: scaling
+    // the rest of the row would multiply zeros.
     if (config_.intake_factor > 0.0) {
       Generation& next = gen(next_);
-      bool any_capped = false;
-      for (std::size_t j = 0; j < n_; ++j) {
-        const double intake = config_.intake_factor * ws_.capacities[j];
-        if (round_received[j] <= intake) {
-          ws_.intake_scale[j] = -1.0;  // sentinel: not capped
-          continue;
-        }
-        ws_.intake_scale[j] = intake / round_received[j];
-        round_received[j] = intake;
-        any_capped = true;
-      }
-      if (any_capped) {
-        for (std::size_t to = 0; to < n_; ++to) {
-          const double scale = ws_.intake_scale[to];
-          if (scale < 0.0) continue;
-          const std::size_t base = to * n_;
-          for (const std::uint32_t giver : next.in[to]) {
-            next.cell[base + giver].value *= scale;
+      for (std::size_t to = 0; to < n_; ++to) {
+        const double intake = config_.intake_factor * ws_.capacities[to];
+        if (round_received[to] <= intake) continue;
+        const double scale = intake / round_received[to];
+        round_received[to] = intake;
+        for (std::size_t w = 0; w < words_; ++w) {
+          for (std::uint64_t live = next.bits[to * words_ + w]; live != 0;
+               live &= live - 1) {
+            next.value[to * n_ + w * 64 + std::countr_zero(live)] *= scale;
           }
         }
       }
     }
 
-    // Shift the history window: rotate generation roles; the recycled one
-    // gets a fresh epoch instead of an O(n^2) refill.
+    // Shift the history window: rotate generation roles and clear the
+    // recycled one's bit rows.
     const int recycled = prev_;
     prev_ = now_;
     now_ = next_;
     next_ = recycled;
-    Generation& fresh = gen(next_);
-    fresh.epoch = ws_.next_epoch();
-    for (std::size_t j = 0; j < n_; ++j) fresh.in[j].clear();
+    std::fill(gen(next_).bits.begin(), gen(next_).bits.end(), 0);
 
-    // Cooperation streaks: only cells given to this round can be positive;
-    // every other cell's streak is 0, i.e. simply absent under the new
-    // streak epoch. The in-lists enumerate exactly this round's cells.
-    const Generation& now = gen(now_);
-    const std::uint64_t new_streak_epoch = ws_.next_epoch();
-    for (std::size_t to = 0; to < n_; ++to) {
-      const std::size_t base = to * n_;
-      for (const std::uint32_t giver : now.in[to]) {
-        const std::size_t idx = base + giver;
-        if (now.cell[idx].value > 0.0) {
-          SimWorkspace::Impl::Streak& s = ws_.streak[idx];
-          const int prev_streak = s.stamp == ws_.streak_epoch ? s.value : 0;
-          s.value = static_cast<std::uint16_t>(
-              std::min<int>(prev_streak + 1, 0xffff));
-          s.stamp = new_streak_epoch;
+    // Cooperation streaks (Loyal). A streak can be positive only where a
+    // slot was opened last round (prev) or this round (now), so walking
+    // now | prev visits every cell the dense full-matrix pass changes.
+    if (keep_streaks_) {
+      const Generation& now = gen(now_);
+      const Generation& prev = gen(prev_);
+      for (std::size_t to = 0; to < n_; ++to) {
+        for (std::size_t w = 0; w < words_; ++w) {
+          const std::uint64_t now_word = now.bits[to * words_ + w];
+          for (std::uint64_t live = now_word | prev.bits[to * words_ + w];
+               live != 0; live &= live - 1) {
+            const int bit = std::countr_zero(live);
+            const std::size_t idx = to * n_ + w * 64 + bit;
+            std::uint16_t& streak = ws_.streak[idx];
+            streak = ((now_word >> bit) & 1U) && now.value[idx] > 0.0
+                         ? static_cast<std::uint16_t>(
+                               std::min<int>(streak + 1, 0xffff))
+                         : std::uint16_t{0};
+          }
         }
       }
     }
-    ws_.streak_epoch = new_streak_epoch;
 
     // Aspiration tracking (Adaptive): smooth toward this round's per-slot
     // receipts.
+    if (keep_aspiration_) {
+      for (std::size_t i = 0; i < n_; ++i) {
+        const double slots =
+            std::max<double>(1.0, protocols_[i].partner_slots);
+        const double per_slot = round_received[i] / slots;
+        ws_.aspiration[i] += config_.aspiration_smoothing *
+                             (per_slot - ws_.aspiration[i]);
+      }
+    }
     for (std::size_t i = 0; i < n_; ++i) {
-      const double slots =
-          std::max<double>(1.0, protocols_[i].partner_slots);
-      const double per_slot = round_received[i] / slots;
-      ws_.aspiration[i] += config_.aspiration_smoothing *
-                           (per_slot - ws_.aspiration[i]);
       ws_.total_received[i] += round_received[i];
     }
 
@@ -1247,24 +1248,27 @@ class SparseEngine {
     }
   }
 
-  /// Replaces peer i with a fresh same-protocol peer. History invalidation
-  /// is an O(n) stamp walk over i's row and column in the live generations
-  /// and the streak table — stamp 0 is never a live epoch.
+  /// Replaces peer i with a fresh same-protocol peer: clears i's bit row
+  /// and its bit in every row of the live generations, and its streak row
+  /// and column — the dense engine's row/column zeroing.
   void replace_peer(std::size_t i) {
     ++peers_replaced_;
     ws_.capacities[i] = churn_source_->sample(rng_);
     ws_.aspiration[i] = ws_.capacities[i];
-    Generation& now = gen(now_);
-    Generation& prev = gen(prev_);
-    for (std::size_t j = 0; j < n_; ++j) {
-      const std::size_t row = i * n_ + j;
-      const std::size_t col = j * n_ + i;
-      now.cell[row].stamp = 0;
-      now.cell[col].stamp = 0;
-      prev.cell[row].stamp = 0;
-      prev.cell[col].stamp = 0;
-      ws_.streak[row].stamp = 0;
-      ws_.streak[col].stamp = 0;
+    const std::size_t word = i / 64;
+    const std::uint64_t keep = ~(std::uint64_t{1} << (i % 64));
+    for (Generation* g : {&gen(now_), &gen(prev_)}) {
+      std::fill_n(g->bits.begin() + static_cast<std::ptrdiff_t>(i * words_),
+                  words_, 0);
+      for (std::size_t row = 0; row < n_; ++row) {
+        g->bits[row * words_ + word] &= keep;
+      }
+    }
+    if (keep_streaks_) {
+      for (std::size_t j = 0; j < n_; ++j) {
+        ws_.streak[i * n_ + j] = 0;
+        ws_.streak[j * n_ + i] = 0;
+      }
     }
   }
 
@@ -1272,8 +1276,12 @@ class SparseEngine {
   const SimulationConfig& config_;
   const BandwidthDistribution* churn_source_;
   const std::size_t n_;
+  std::size_t words_ = 0;
   util::Rng rng_;
   SimWorkspace::Impl& ws_;
+  // What the population reads (see the class comment).
+  bool keep_streaks_ = false;
+  bool keep_aspiration_ = false;
 
   // Roles of ws_.gen entries; rotated each round.
   int prev_ = 0;

@@ -59,8 +59,9 @@ namespace dsa::swarming {
 /// before/after benchmarking, and kBatch the lockstep engine that advances
 /// W independent simulations at once (see batch_engine.hpp).
 enum class SimEngine : std::uint8_t {
-  /// Epoch-stamped sparse round state + reusable workspace: per-round cost
-  /// O(n * (k + h)) instead of O(n^2), O(1) allocations per reused
+  /// Per-receiver bitset round state + reusable workspace, keeping only the
+  /// state the population reads: per-round cost O(n * (k + h)) plus
+  /// n * ceil(n/64) words instead of O(n^2), O(1) allocations per reused
   /// workspace instead of ~10 per simulation.
   kSparse,
   /// The seed implementation: dense n^2 matrices refilled every round,
@@ -75,13 +76,14 @@ enum class SimEngine : std::uint8_t {
 };
 
 /// Reusable scratch memory for the sparse engine: the interaction-history
-/// generations, stamps, streaks, and per-peer scratch vectors of a run.
-/// Reusing one workspace across many simulate_rounds calls (one per thread —
-/// a workspace must never be shared between concurrent runs) keeps a sweep
-/// at O(1) heap allocations per thread; epoch stamping makes reuse safe
-/// without clearing the O(n^2) arrays between runs. A default-constructed
-/// workspace holds no memory until its first run. The dense engine ignores
-/// it.
+/// generations (bit rows over bandwidth arrays), streaks, and per-peer
+/// scratch vectors of a run. Reusing one workspace across many
+/// simulate_rounds calls (one per thread — a workspace must never be shared
+/// between concurrent runs) keeps a sweep at O(1) heap allocations per
+/// thread; a run clears only the bit rows, never the O(n^2) bandwidth
+/// arrays, since a bandwidth is read only where its bit is set. A
+/// default-constructed workspace holds no memory until its first run. The
+/// dense engine ignores it.
 class SimWorkspace {
  public:
   SimWorkspace();

@@ -38,6 +38,8 @@ class LineSocket {
   ~LineSocket();
 
   [[nodiscard]] bool valid() const noexcept { return fd_ >= 0; }
+  /// The descriptor, for shutdown(2) from another thread; -1 when closed.
+  [[nodiscard]] int fd() const noexcept { return fd_; }
 
   /// Writes `line` plus a terminating '\n' in full. `line` must not itself
   /// contain '\n' (it would tear the framing); throws std::logic_error if

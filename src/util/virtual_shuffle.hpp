@@ -29,58 +29,107 @@ class VirtualShuffle {
   template <typename Base, typename Draw>
   void shuffle(std::size_t size, std::size_t picks, Base&& base, Draw&& draw,
                std::vector<std::uint32_t>& out) {
-    reset(picks);
-    for (std::size_t i = 0; i < picks; ++i) {
-      const std::size_t j = i + static_cast<std::size_t>(draw(size - i));
-      const std::uint32_t picked = read(j, base);
-      // Position i is never read again (later steps read positions > i),
-      // so only the displaced entry moving to j needs recording.
-      if (j != i) write(j, read(i, base));
-      out.push_back(picked);
+    if (picks <= kSmallPicks) {
+      // A handful of picks (the round engines' stranger draws) records at
+      // most that many swaps: a linear scan of a fixed array beats
+      // hashing.
+      SmallOverlay overlay;
+      run(size, picks, base, draw, out, overlay);
+      return;
     }
+    hash_.reset(picks);
+    run(size, picks, base, draw, out, hash_);
   }
 
  private:
-  static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+  static constexpr std::size_t kSmallPicks = 3;
   struct Slot {
     std::uint32_t pos;
     std::uint32_t value;
   };
 
-  /// Sizes the table for `picks` writes at a load factor of at most 1/2.
-  void reset(std::size_t picks) {
-    const std::size_t capacity = std::bit_ceil(std::max<std::size_t>(
-        8, 2 * picks));
-    shift_ = 64 - std::countr_zero(capacity);
-    slots_.assign(capacity, Slot{kEmpty, 0});
-  }
-
-  /// Fibonacci hashing into the power-of-two table, then linear probing.
-  [[nodiscard]] std::size_t home(std::size_t pos) const noexcept {
-    return static_cast<std::size_t>(
-        (static_cast<std::uint64_t>(pos) * 0x9e3779b97f4a7c15ULL) >> shift_);
-  }
-
-  template <typename Base>
-  [[nodiscard]] std::uint32_t read(std::size_t pos, Base& base) const {
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t s = home(pos);; s = (s + 1) & mask) {
-      if (slots_[s].pos == pos) return slots_[s].value;
-      if (slots_[s].pos == kEmpty) return base(pos);
+  template <typename Base, typename Draw, typename Overlay>
+  static void run(std::size_t size, std::size_t picks, Base& base, Draw& draw,
+                  std::vector<std::uint32_t>& out, Overlay& overlay) {
+    for (std::size_t i = 0; i < picks; ++i) {
+      const std::size_t j = i + static_cast<std::size_t>(draw(size - i));
+      const std::uint32_t picked = overlay.read(j, base);
+      // Position i is never read again (later steps read positions > i),
+      // so only the displaced entry moving to j needs recording.
+      if (j != i) overlay.write(j, overlay.read(i, base));
+      out.push_back(picked);
     }
   }
 
-  void write(std::size_t pos, std::uint32_t value) {
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t s = home(pos);
-    while (slots_[s].pos != kEmpty && slots_[s].pos != pos) {
-      s = (s + 1) & mask;
-    }
-    slots_[s] = {static_cast<std::uint32_t>(pos), value};
-  }
+  /// The swapped positions of a draw of at most kSmallPicks entries, in
+  /// write order.
+  struct SmallOverlay {
+    Slot slots[kSmallPicks];
+    std::size_t count = 0;
 
-  std::vector<Slot> slots_;
-  int shift_ = 64;
+    template <typename Base>
+    [[nodiscard]] std::uint32_t read(std::size_t pos, Base& base) const {
+      for (std::size_t s = 0; s < count; ++s) {
+        if (slots[s].pos == pos) return slots[s].value;
+      }
+      return base(pos);
+    }
+
+    void write(std::size_t pos, std::uint32_t value) {
+      for (std::size_t s = 0; s < count; ++s) {
+        if (slots[s].pos == pos) {
+          slots[s].value = value;
+          return;
+        }
+      }
+      slots[count++] = {static_cast<std::uint32_t>(pos), value};
+    }
+  };
+
+  /// Open-addressing table of swapped positions for larger draws.
+  class HashOverlay {
+   public:
+    /// Sizes the table for `picks` writes at a load factor of at most 1/2.
+    void reset(std::size_t picks) {
+      const std::size_t capacity = std::bit_ceil(std::max<std::size_t>(
+          8, 2 * picks));
+      shift_ = 64 - std::countr_zero(capacity);
+      slots_.assign(capacity, Slot{kEmpty, 0});
+    }
+
+    template <typename Base>
+    [[nodiscard]] std::uint32_t read(std::size_t pos, Base& base) const {
+      const std::size_t mask = slots_.size() - 1;
+      for (std::size_t s = home(pos);; s = (s + 1) & mask) {
+        if (slots_[s].pos == pos) return slots_[s].value;
+        if (slots_[s].pos == kEmpty) return base(pos);
+      }
+    }
+
+    void write(std::size_t pos, std::uint32_t value) {
+      const std::size_t mask = slots_.size() - 1;
+      std::size_t s = home(pos);
+      while (slots_[s].pos != kEmpty && slots_[s].pos != pos) {
+        s = (s + 1) & mask;
+      }
+      slots_[s] = {static_cast<std::uint32_t>(pos), value};
+    }
+
+   private:
+    static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+
+    /// Fibonacci hashing into the power-of-two table, then linear probing.
+    [[nodiscard]] std::size_t home(std::size_t pos) const noexcept {
+      return static_cast<std::size_t>(
+          (static_cast<std::uint64_t>(pos) * 0x9e3779b97f4a7c15ULL) >>
+          shift_);
+    }
+
+    std::vector<Slot> slots_;
+    int shift_ = 64;
+  };
+
+  HashOverlay hash_;
 };
 
 }  // namespace dsa::util

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/pra.hpp"
+#include "scenario/manifest.hpp"
 #include "scenario/plan.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
@@ -272,14 +273,15 @@ class ScenarioRunner : public ::testing::Test {
 
   /// A fast 4-job evolution grid writing to `name` inside the temp dir.
   scenario::Plan evolution_plan(const std::string& name,
-                                std::size_t retries = 0) const {
+                                std::size_t retries = 0, int seed = 9) const {
     const std::string json =
         R"({"scenario": "grid", "kind": "evolution", "output": ")" +
         (dir_ / name).string() + R"(", "retries": )" +
         std::to_string(retries) +
         R"(, "params": {"menu": "bt,birds", "rounds": 40, "population": 20,
             "generations": [4, 6, 8, 10], "runs_per_generation": 1,
-            "seed": 9}})";
+            "seed": )" +
+        std::to_string(seed) + "}}";
     return scenario::expand_plan(scenario::parse_scenario_text(json));
   }
 
@@ -422,6 +424,65 @@ TEST_F(ScenarioRunner, ExistingOutputShortCircuits) {
   EXPECT_TRUE(report.reused_output);
   EXPECT_EQ(report.executed, 0u);
   EXPECT_EQ(read_file(plan.spec.output), "sentinel");
+}
+
+TEST_F(ScenarioRunner, OutputWrittenByAnotherSpecIsRecomputed) {
+  // The example fig9_fractions spec at its own seed, then at another seed
+  // against the same output: the second run must not reuse the first's
+  // numbers, and a repeat of the second spec reuses its own.
+  auto fig9_plan = [&](int seed) {
+    return scenario::expand_plan(scenario::parse_scenario_text(
+        R"({"scenario": "fig9-minority-fractions", "kind": "swarm",
+            "output": ")" +
+        (dir_ / "fig9.csv").string() +
+        R"(", "params": {"a": "birds", "b": "bt",
+            "fraction": [0.1, 0.25, 0.5, 0.75, 0.9], "runs": 5, "seed": )" +
+        std::to_string(seed) + "}}"));
+  };
+  const scenario::Plan first = fig9_plan(1000);
+  const scenario::Plan second = fig9_plan(77);
+  ASSERT_NE(first.spec_fingerprint, second.spec_fingerprint);
+  const fs::path sidecar = scenario::spec_sidecar_path(first);
+  EXPECT_EQ(sidecar, dir_ / "fig9.csv.spec");
+
+  EXPECT_FALSE(scenario::run_scenario(first, quiet(1)).reused_output);
+  const std::string first_bytes = read_file(first.spec.output);
+  EXPECT_EQ(read_file(sidecar),
+            scenario::hex16(first.spec_fingerprint) + "\n");
+
+  const auto recomputed = scenario::run_scenario(second, quiet(1));
+  EXPECT_FALSE(recomputed.reused_output);
+  EXPECT_EQ(recomputed.executed, second.jobs.size());
+  const std::string second_bytes = read_file(second.spec.output);
+  EXPECT_NE(second_bytes, first_bytes);
+  EXPECT_EQ(read_file(sidecar),
+            scenario::hex16(second.spec_fingerprint) + "\n");
+
+  const auto repeat = scenario::run_scenario(second, quiet(1));
+  EXPECT_TRUE(repeat.reused_output);
+  EXPECT_EQ(repeat.executed, 0u);
+  EXPECT_EQ(read_file(second.spec.output), second_bytes);
+}
+
+TEST_F(ScenarioRunner, KilledRecomputeDoesNotReuseTheOtherSpecsOutput) {
+  // Spec A's finished output sits beside its sidecar; a run of spec B is
+  // cut off during its jobs. The rerun of B must compute, not reuse A's.
+  const scenario::Plan a = evolution_plan("shared.csv");
+  const scenario::Plan b = evolution_plan("shared.csv", 0, /*seed=*/10);
+  ASSERT_NE(a.spec_fingerprint, b.spec_fingerprint);
+  EXPECT_FALSE(scenario::run_scenario(a, quiet(1)).reused_output);
+
+  scenario::RunOptions aborting = quiet(1);
+  aborting.before_attempt = [](std::size_t job, std::size_t) {
+    if (job == 1) throw std::runtime_error("injected kill");
+  };
+  EXPECT_THROW(scenario::run_scenario(b, aborting), std::runtime_error);
+  EXPECT_FALSE(fs::exists(b.spec.output));
+
+  const auto rerun = scenario::run_scenario(b, quiet(1));
+  EXPECT_FALSE(rerun.reused_output);
+  EXPECT_EQ(read_file(scenario::spec_sidecar_path(b)),
+            scenario::hex16(b.spec_fingerprint) + "\n");
 }
 
 TEST_F(ScenarioRunner, KeepManifestRetainsTheJsonl) {

@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -534,6 +535,89 @@ TEST_F(ServeTest, OversizedFrameDropsOnlyThatConnection) {
   // Other clients are still served.
   serve::Client client(daemon.server().socket_path());
   client.ping();
+}
+
+TEST_F(ServeTest, HalfSentFrameDoesNotHoldUpShutdown) {
+  auto options = daemon_options(dir_);
+  const int poll_ms = options.poll_ms;
+  serve::Server server(std::move(options));
+  std::atomic<bool> stop{false};
+  std::atomic<bool> returned{false};
+  std::thread thread([&] {
+    server.serve(stop);
+    returned.store(true);
+  });
+
+  // A raw client sends part of a frame and then idles, leaving its
+  // connection thread waiting for the rest of the line.
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un address{};
+  address.sun_family = AF_UNIX;
+  const std::string path = server.socket_path().string();
+  std::memcpy(address.sun_path, path.c_str(), path.size() + 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&address),
+                      sizeof(address)),
+            0);
+  const std::string half = R"({"op": "pi)";
+  ASSERT_EQ(::send(fd, half.data(), half.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(half.size()));
+
+  // A second client is still answered while the first one idles.
+  {
+    serve::Client client(server.socket_path());
+    client.ping();
+  }
+
+  const auto stopped_at = std::chrono::steady_clock::now();
+  stop.store(true);
+  // Wait well past the few poll periods a clean shutdown needs, then close
+  // our end, so a daemon that kept waiting for the line cannot hang the
+  // test.
+  while (!returned.load() && std::chrono::steady_clock::now() - stopped_at <
+                                 std::chrono::seconds(10)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const auto waited = std::chrono::steady_clock::now() - stopped_at;
+  const bool returned_in_time = returned.load();
+  ::close(fd);
+  thread.join();
+  EXPECT_TRUE(returned_in_time) << "serve() still running 10 s after stop";
+  EXPECT_LT(waited, std::chrono::milliseconds(20 * poll_ms));
+}
+
+TEST_F(ServeTest, StopDrainsAQueryAlreadyRunning) {
+  // Stop arrives while the daemon is still computing a query (right after
+  // its first progress line, before any job has finished): shutting down
+  // the live connections must not cut off the answer.
+  const std::string spec =
+      "{\"scenario\":\"serve-slow\",\"kind\":\"sweep\",\"output\":\"" +
+      (dir_ / "slow.csv").string() +
+      "\",\"chunk\":1,\"params\":{\"protocols\":\"bt,birds\","
+      "\"rounds\":2000,\"population\":50,\"performance_runs\":1,"
+      "\"encounter_runs\":1,\"opponent_sample\":1,"
+      "\"minority_fraction\":0.1,\"seed\":7}}";
+  serve::Server server(daemon_options(dir_));
+  std::atomic<bool> stop{false};
+  std::thread thread([&] { server.serve(stop); });
+
+  serve::Response answer;
+  std::string failure;
+  try {
+    serve::Client client(server.socket_path());
+    answer = client.query(spec, "csv", [&](std::uint64_t done, std::uint64_t,
+                                           std::uint64_t) {
+      if (done == 0) stop.store(true);
+    });
+  } catch (const std::exception& error) {
+    failure = error.what();
+  }
+  stop.store(true);
+  thread.join();
+  EXPECT_EQ(failure, "");
+  EXPECT_EQ(answer.type, "result");
+  EXPECT_EQ(answer.executed_jobs, 2u);
+  EXPECT_FALSE(answer.body.empty());
 }
 
 TEST_F(ServeTest, ShutdownRequestStopsTheServeLoop) {

@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "fault/fault_process.hpp"
+#include "obs/obs.hpp"
+#include "obs/recorder.hpp"
 #include "swarming/bandwidth.hpp"
 #include "swarming/batch_engine.hpp"
 #include "swarming/protocol.hpp"
@@ -474,6 +477,131 @@ TEST(EngineEquivalence, WorkspaceReuseAcrossRunsAndSizes) {
   const auto with_thread_local =
       simulate_rounds(protocols, caps, quick(137, 150), &piatek());
   expect_bitwise_equal(with_reused, with_thread_local);
+}
+
+TEST(EngineEquivalence, PopulationsAcrossBitRowWordBoundaries) {
+  // The sparse engine keeps one bit row of ceil(n/64) words per receiver:
+  // sizes on both sides of each word boundary, with TF2T windows, churn,
+  // every fault process and the intake cap all active at once.
+  const ProtocolSpec tf2t =
+      make(StrangerPolicy::kWhenNeeded, 2, CandidateWindow::kTf2t,
+           RankingFunction::kFastest, 4, AllocationPolicy::kPropShare);
+  const ProtocolSpec loyal =
+      make(StrangerPolicy::kPeriodic, 3, CandidateWindow::kTf2t,
+           RankingFunction::kLoyal, 2, AllocationPolicy::kEqualSplit);
+  const ProtocolSpec defector =
+      make(StrangerPolicy::kDefect, 1, CandidateWindow::kTft,
+           RankingFunction::kSlowest, 3, AllocationPolicy::kEqualSplit);
+  for (const std::size_t n : {63u, 64u, 65u, 128u, 129u}) {
+    std::vector<ProtocolSpec> protocols;
+    for (std::size_t i = 0; i < n; ++i) {
+      protocols.push_back(i % 3 == 0 ? tf2t : i % 3 == 1 ? loyal : defector);
+    }
+    SimulationConfig config = quick(139 + n, 60);
+    config.churn_rate = 0.03;
+    config.intake_factor = 1.2;
+    config.record_round_series = true;
+    config.faults = {
+        dsa::fault::FaultProcess::memoryless_churn(0.02),
+        dsa::fault::FaultProcess::burst_churn(15, 0.2),
+        dsa::fault::FaultProcess::capacity_degradation(30, 0.6),
+        dsa::fault::FaultProcess::targeted_failure(45, 0.1),
+    };
+    SCOPED_TRACE(n);
+    expect_engines_agree(protocols, config);
+  }
+}
+
+TEST(EngineEquivalence, StreaksKeptForOneLoyalPeerAndSkippedForNone) {
+  // The streak table is maintained only when some peer ranks by Loyal with
+  // partner slots. One such peer among Fastest rankers must still see
+  // exact streaks, including across churn; with none, skipping the table
+  // must change nothing.
+  const ProtocolSpec loyal =
+      make(StrangerPolicy::kWhenNeeded, 1, CandidateWindow::kTft,
+           RankingFunction::kLoyal, 2, AllocationPolicy::kEqualSplit);
+  const ProtocolSpec loyal_without_partners =
+      make(StrangerPolicy::kPeriodic, 2, CandidateWindow::kTft,
+           RankingFunction::kLoyal, 0, AllocationPolicy::kEqualSplit);
+  std::vector<ProtocolSpec> one_loyal(30, bittorrent_protocol());
+  one_loyal[17] = loyal;
+  SimulationConfig config = quick(149, 200);
+  config.churn_rate = 0.02;
+  expect_engines_agree(one_loyal, config);
+
+  std::vector<ProtocolSpec> no_loyal(30, bittorrent_protocol());
+  no_loyal[17] = loyal_without_partners;
+  expect_engines_agree(no_loyal, config);
+}
+
+TEST(EngineEquivalence, FullRecordingMatchesDenseWhenAllCandidatesSelected) {
+  // With every candidate selected, ranking only orders the partners and
+  // the sparse engine skips it unless something reads that order; a full
+  // recording keeps ranking on. Nine partner slots against few candidates
+  // make "all selected" the common case. The recorder sorts each actor's
+  // events by peer, so what this pins is that the recorded decisions
+  // agree with the dense engine's, event for event.
+  const ProtocolSpec wide =
+      make(StrangerPolicy::kPeriodic, 1, CandidateWindow::kTft,
+           RankingFunction::kFastest, 9, AllocationPolicy::kEqualSplit);
+  const std::vector<ProtocolSpec> protocols(20, wide);
+  const std::vector<double> caps = piatek().stratified_sample(20);
+  dsa::obs::Recorder& recorder = dsa::obs::Recorder::global();
+  auto record = [&](SimEngine engine) {
+    SimulationConfig config = quick(151, 40);
+    config.engine = engine;
+    recorder.reset();
+    recorder.configure({dsa::obs::RecordLevel::kFull, 1});
+    const SimulationOutcome outcome =
+        simulate_rounds(protocols, caps, config, &piatek());
+    recorder.configure({dsa::obs::RecordLevel::kOff, 1});
+    std::vector<dsa::obs::Event> events = recorder.snapshot();
+    recorder.reset();
+    return std::make_pair(outcome, events);
+  };
+  const auto [sparse, sparse_events] = record(SimEngine::kSparse);
+  const auto [dense, dense_events] = record(SimEngine::kDense);
+  expect_bitwise_equal(sparse, dense);
+
+  // Decision events match one for one, in order. (The run header differs:
+  // it names the engine.)
+  ASSERT_EQ(sparse_events.size(), dense_events.size());
+  std::size_t ordered_selections = 0;
+  for (std::size_t i = 0; i < sparse_events.size(); ++i) {
+    const dsa::obs::Event& a = sparse_events[i];
+    const dsa::obs::Event& b = dense_events[i];
+    if (a.kind == dsa::obs::EventKind::kRun) continue;
+    EXPECT_EQ(a.kind, b.kind) << i;
+    EXPECT_EQ(a.time, b.time) << i;
+    EXPECT_EQ(a.actor, b.actor) << i;
+    EXPECT_EQ(a.peer, b.peer) << i;
+    EXPECT_EQ(a.value, b.value) << i;
+    if (a.kind == dsa::obs::EventKind::kSelect && a.value[0] == a.value[1] &&
+        a.value[1] > 1.0) {
+      ++ordered_selections;
+    }
+  }
+#if DSA_OBS_COMPILED_IN
+  EXPECT_GT(ordered_selections, 0u) << "no selection took every candidate";
+#endif
+}
+
+TEST(EngineEquivalence, WorkspaceReuseAcrossShrinkingAndRegrowingSizes) {
+  // One workspace from 200 peers (four-word bit rows) down to 40 (one
+  // word) and back up to 65 (two words): rows and values left by the
+  // larger runs must never leak into the smaller ones.
+  SimWorkspace reused;
+  SimulationConfig config = quick(157, 80);
+  config.churn_rate = 0.02;
+  std::vector<ProtocolSpec> protocols;
+  for (const std::size_t n : {200u, 40u, 65u}) {
+    protocols.assign(n, bittorrent_protocol());
+    for (std::size_t i = 0; i < n; i += 4) {
+      protocols[i] = loyal_when_needed_protocol();
+    }
+    SCOPED_TRACE(n);
+    expect_engines_agree(protocols, config, &reused);
+  }
 }
 
 // ------------------------------------------------ batch-lockstep engine ----

@@ -266,8 +266,10 @@ TEST(VirtualShuffle, MatchesShufflingTheMaterializedList) {
   VirtualShuffle shuffle;  // reused across draws, as the engines do
   for (const std::uint64_t seed : {1ULL, 2ULL, 99ULL}) {
     for (const std::size_t size : {1u, 2u, 7u, 40u, 1000u}) {
-      for (const std::size_t picks : {std::size_t{0}, std::size_t{1},
-                                      std::size_t{3}, size / 2, size}) {
+      // 3 and 4 straddle the switch from the fixed overlay to the table.
+      for (const std::size_t picks :
+           {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{4},
+            std::size_t{5}, size / 2, size}) {
         if (picks > size) continue;
         // A non-trivial list: the odd numbers, ascending.
         std::vector<std::uint32_t> list(size);
