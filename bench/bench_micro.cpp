@@ -3,10 +3,9 @@
 // the figure benches' wall-clock cost is (simulations) x (time/run) measured
 // here.
 //
-// The round-model benchmarks run the sparse production engine, the dense
-// reference engine, and the batch-lockstep engine side-by-side, and main()
-// first asserts all three produce bit-for-bit identical outcomes on a
-// churning mixed population — a cheap guard against silent divergence that
+// The round-model benchmarks run the sparse production engine and the dense
+// reference engine side-by-side, and main() first asserts both produce
+// bit-for-bit identical outcomes on a churning mixed population — a cheap guard against silent divergence that
 // runs every time the bench does.
 #include <benchmark/benchmark.h>
 
@@ -24,14 +23,8 @@ namespace {
 using namespace dsa;
 
 swarming::SimEngine engine_arg(std::int64_t value) {
-  switch (value) {
-    case 1:
-      return swarming::SimEngine::kDense;
-    case 2:
-      return swarming::SimEngine::kBatch;
-    default:
-      return swarming::SimEngine::kSparse;
-  }
+  return value == 1 ? swarming::SimEngine::kDense
+                    : swarming::SimEngine::kSparse;
 }
 
 void BM_RoundSimHomogeneous(benchmark::State& state) {
@@ -50,13 +43,11 @@ void BM_RoundSimHomogeneous(benchmark::State& state) {
                           static_cast<std::int64_t>(rounds) * 50);
 }
 BENCHMARK(BM_RoundSimHomogeneous)
-    ->ArgNames({"rounds", "engine"})  // engine: 0 sparse, 1 dense, 2 batch
+    ->ArgNames({"rounds", "engine"})  // engine: 0 sparse, 1 dense
     ->Args({120, 0})
     ->Args({120, 1})
-    ->Args({120, 2})
     ->Args({500, 0})
-    ->Args({500, 1})
-    ->Args({500, 2});
+    ->Args({500, 1});
 
 void BM_RoundSimEncounter(benchmark::State& state) {
   swarming::SimulationConfig config;
@@ -73,13 +64,11 @@ void BM_RoundSimEncounter(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RoundSimEncounter)
-    ->ArgNames({"rounds", "engine"})  // engine: 0 sparse, 1 dense, 2 batch
+    ->ArgNames({"rounds", "engine"})  // engine: 0 sparse, 1 dense
     ->Args({120, 0})
     ->Args({120, 1})
-    ->Args({120, 2})
     ->Args({500, 0})
-    ->Args({500, 1})
-    ->Args({500, 2});
+    ->Args({500, 1});
 
 void BM_SwarmDownload(benchmark::State& state) {
   swarm::SwarmConfig config;
@@ -103,7 +92,7 @@ void BM_ProtocolCodec(benchmark::State& state) {
 }
 BENCHMARK(BM_ProtocolCodec);
 
-/// Runs one churning mixed-population config on all three engines and aborts
+/// Runs one churning mixed-population config on both engines and aborts
 /// on any outcome difference — the engines' contract is bitwise identity,
 /// not mere closeness, so compare with == rather than a tolerance.
 void assert_engines_match() {
@@ -129,25 +118,16 @@ void assert_engines_match() {
   config.engine = swarming::SimEngine::kDense;
   const auto dense =
       simulate_rounds(protocols, capacities, config, &bandwidths);
-  config.engine = swarming::SimEngine::kBatch;
-  const auto batch =
-      simulate_rounds(protocols, capacities, config, &bandwidths);
 
-  const auto matches = [&](const swarming::SimulationOutcome& other) {
-    return sparse.peer_throughput == other.peer_throughput &&
-           sparse.peers_replaced == other.peers_replaced;
-  };
-  if (!matches(dense) || !matches(batch)) {
+  if (sparse.peer_throughput != dense.peer_throughput ||
+      sparse.peers_replaced != dense.peers_replaced) {
     std::fprintf(stderr,
-                 "FATAL: engines diverged on the guard config (seed=%llu): "
-                 "dense %s, batch %s\n",
-                 static_cast<unsigned long long>(config.seed),
-                 matches(dense) ? "ok" : "DIVERGED",
-                 matches(batch) ? "ok" : "DIVERGED");
+                 "FATAL: sparse and dense engines diverged on the guard "
+                 "config (seed=%llu)\n",
+                 static_cast<unsigned long long>(config.seed));
     std::abort();
   }
-  std::fprintf(stderr,
-               "[guard] sparse, dense, and batch engine outcomes identical\n");
+  std::fprintf(stderr, "[guard] sparse and dense engine outcomes identical\n");
 }
 
 }  // namespace

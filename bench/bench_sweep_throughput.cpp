@@ -1,7 +1,7 @@
 // Throughput harness for the PRA sweep's hot path: runs the same flattened
 // quantify() batch on the dense reference engine (the seed implementation's
-// round model), on the sparse production engine, and on the batch-lockstep
-// engine, on the same machine with the same knobs, and emits
+// round model) and on the sparse production engine, on the same machine with
+// the same knobs, and emits
 // machine-readable before/after numbers to results/BENCH_pra_sweep.json so
 // future PRs have a perf trajectory.
 //
@@ -20,14 +20,10 @@
 //   knobs            { protocols, stride, rounds, population,
 //                      performance_runs, encounter_runs, opponents, seed }
 //   modes            [ { engine, simulations, wall_seconds, sims_per_sec }, … ]
-//                    (dense first = before, then sparse, then batch)
+//                    (dense first = before, then sparse)
 //   speedup_sparse_vs_dense   sims_per_sec ratio at the default population
-//   speedup_batch_vs_sparse   same ratio, batch engine over sparse
-//   speedup_batch_vs_dense    same ratio, batch engine over dense
 //   scaling          [ { population, dense_ms_per_sim, sparse_ms_per_sim,
 //                        speedup, identical }, … ]
-//   batch_widths     [ { width, sims_per_sec, speedup_vs_width1 }, … ]
-//                    lockstep width scaling of the batch engine alone
 //   outcomes_identical        quantify() results bitwise-equal across engines
 //   peak_rss_kb      getrusage peak resident set after all passes
 //
@@ -47,7 +43,6 @@
 #include "core/pra.hpp"
 #include "core/subspace.hpp"
 #include "obs/recorder.hpp"
-#include "swarming/batch_engine.hpp"
 #include "swarming/dsa_model.hpp"
 #include "swarming/pra_dataset.hpp"
 #include "util/env.hpp"
@@ -77,16 +72,14 @@ struct ModeResult {
 ModeResult run_mode(swarming::SimEngine engine, const char* name,
                     const swarming::PraDatasetOptions& options,
                     const std::vector<std::uint32_t>& members,
-                    util::ThreadPool& pool, std::size_t batch_width = 1) {
+                    util::ThreadPool& pool) {
   swarming::SimulationConfig sim;
   sim.rounds = options.rounds;
   sim.engine = engine;
   swarming::SwarmingModel model(sim,
                                 swarming::BandwidthDistribution::piatek());
   core::SubspaceModel subspace(model, members);
-  core::PraConfig pra = options.pra;
-  pra.batch_width = batch_width;
-  core::PraEngine engine_runner(subspace, pra, &pool);
+  core::PraEngine engine_runner(subspace, options.pra, &pool);
 
   ModeResult result;
   result.engine = name;
@@ -187,68 +180,6 @@ std::vector<ScalePoint> scaling_series(std::size_t rounds) {
   return series;
 }
 
-struct WidthPoint {
-  std::size_t width = 0;
-  double sims_per_sec = 0.0;
-  double speedup_vs_width1 = 0.0;
-};
-
-// Accumulates one value per timed batch so the compiler cannot hoist or
-// drop the simulate_rounds_batch calls.
-volatile double benchmark_guard = 0.0;
-
-// Lockstep-width scaling of the batch engine alone: the same 64 homogeneous
-// simulations executed as batches of W lanes. Capacities and seeds are
-// precomputed outside the timed region, so the series isolates the engine's
-// amortization of the round loop across the batch.
-std::vector<WidthPoint> width_series(std::size_t rounds) {
-  const auto dist = swarming::BandwidthDistribution::piatek();
-  constexpr std::size_t kSims = 64;
-  constexpr std::size_t kPeers = 50;
-  const std::vector<swarming::ProtocolSpec> protocols(
-      kPeers, swarming::bittorrent_protocol());
-  std::vector<std::vector<double>> capacities;
-  std::vector<std::uint64_t> seeds;
-  for (std::size_t s = 0; s < kSims; ++s) {
-    seeds.push_back(1000 + s);
-    capacities.push_back(
-        swarming::shuffled_capacities(kPeers, dist, seeds[s]));
-  }
-  swarming::SimulationConfig config;
-  config.rounds = rounds;
-
-  std::vector<WidthPoint> series;
-  for (const std::size_t width :
-       {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8},
-        std::size_t{16}}) {
-    const auto start = std::chrono::steady_clock::now();
-    for (std::size_t base = 0; base < kSims; base += width) {
-      const std::size_t lanes_now = std::min(width, kSims - base);
-      std::vector<swarming::BatchLane> lanes;
-      lanes.reserve(lanes_now);
-      for (std::size_t w = 0; w < lanes_now; ++w) {
-        lanes.push_back({&protocols, &capacities[base + w], seeds[base + w]});
-      }
-      const auto outcomes = swarming::simulate_rounds_batch(lanes, config);
-      benchmark_guard = benchmark_guard + outcomes.front().peer_throughput.front();
-    }
-    const auto stop = std::chrono::steady_clock::now();
-    const double seconds = std::chrono::duration<double>(stop - start).count();
-    WidthPoint point;
-    point.width = width;
-    point.sims_per_sec =
-        seconds > 0.0 ? static_cast<double>(kSims) / seconds : 0.0;
-    point.speedup_vs_width1 =
-        series.empty() || series.front().sims_per_sec <= 0.0
-            ? 1.0
-            : point.sims_per_sec / series.front().sims_per_sec;
-    std::printf("  W=%-3zu  %10.1f sims/sec  %5.2fx vs W=1\n", point.width,
-                point.sims_per_sec, point.speedup_vs_width1);
-    series.push_back(point);
-  }
-  return series;
-}
-
 }  // namespace
 
 int main() {
@@ -269,38 +200,24 @@ int main() {
 
   bench::banner("BENCH pra_sweep_throughput",
                 "engineering target (ROADMAP): the PRA sweep runs as fast as "
-                "the hardware allows; sparse and batch engines vs the dense "
-                "seed path, bitwise-identical results");
+                "the hardware allows; the sparse engine vs the dense seed "
+                "path, bitwise-identical results");
   const std::vector<std::uint32_t> members = strided_members(protocols);
-  // The batch engine's lockstep width: DSA_BATCH_WIDTH, or 8 when unset
-  // (the width the sweep auto-selects under DSA_ENGINE=batch).
-  const auto env_width =
-      static_cast<std::size_t>(util::env_int("DSA_BATCH_WIDTH", 0));
-  const std::size_t batch_width = env_width != 0 ? env_width : 8;
   std::printf("protocols in batch: %u (stride %u over the %u-protocol space)"
-              "   threads: %zu   batch width: %zu\n\n",
+              "   threads: %zu\n\n",
               protocols, swarming::kProtocolCount / protocols,
-              swarming::kProtocolCount, pool.thread_count(), batch_width);
+              swarming::kProtocolCount, pool.thread_count());
 
-  // Dense first (the "before"/seed implementation), then sparse, then batch.
+  // Dense first (the "before"/seed implementation), then sparse.
   const ModeResult dense = run_mode(swarming::SimEngine::kDense, "dense",
                                     options, members, pool);
   const ModeResult sparse = run_mode(swarming::SimEngine::kSparse, "sparse",
                                      options, members, pool);
-  const ModeResult batch = run_mode(swarming::SimEngine::kBatch, "batch",
-                                    options, members, pool, batch_width);
 
-  const bool identical = metrics_identical(dense.metrics, sparse.metrics) &&
-                         metrics_identical(dense.metrics, batch.metrics);
+  const bool identical = metrics_identical(dense.metrics, sparse.metrics);
   const double speedup = dense.sims_per_sec > 0.0
                              ? sparse.sims_per_sec / dense.sims_per_sec
                              : 0.0;
-  const double batch_vs_sparse = sparse.sims_per_sec > 0.0
-                                     ? batch.sims_per_sec / sparse.sims_per_sec
-                                     : 0.0;
-  const double batch_vs_dense = dense.sims_per_sec > 0.0
-                                    ? batch.sims_per_sec / dense.sims_per_sec
-                                    : 0.0;
 
   std::printf("\nper-simulation cost vs population (%zu rounds):\n",
               options.rounds);
@@ -312,28 +229,19 @@ int main() {
     best_scaling_speedup = std::max(best_scaling_speedup, point.speedup);
   }
 
-  std::printf("\nbatch-engine lockstep width scaling (%zu rounds):\n",
-              options.rounds);
-  const std::vector<WidthPoint> widths = width_series(options.rounds);
-
   struct rusage usage {};
   getrusage(RUSAGE_SELF, &usage);
 
   std::printf("\nsweep speedup (sparse vs dense, default population): %.2fx\n",
               speedup);
-  std::printf("sweep speedup (batch vs sparse): %.2fx   (batch vs dense): "
-              "%.2fx\n",
-              batch_vs_sparse, batch_vs_dense);
   std::printf("best scaling-series speedup: %.2fx\n", best_scaling_speedup);
   std::printf("outcomes identical: %s\n",
               identical && scaling_identical ? "yes" : "NO");
   std::printf("peak RSS: %ld KB\n", usage.ru_maxrss);
   bench::verdict(identical && scaling_identical &&
-                     (speedup >= 3.0 || best_scaling_speedup >= 3.0 ||
-                      batch_vs_dense >= 3.0),
+                     (speedup >= 3.0 || best_scaling_speedup >= 3.0),
                  "bitwise-identical metrics and >= 3x over the dense seed "
-                 "path (default-scale sweep, the population series, or the "
-                 "batch engine)");
+                 "path (default-scale sweep or the population series)");
 
   // Rendered to a string and atomically replaced on disk, so a crash or
   // concurrent reader never sees a truncated results file.
@@ -350,23 +258,21 @@ int main() {
       "  \"knobs\": {\"protocols\": %u, \"stride\": %u, "
       "\"rounds\": %zu, \"population\": %zu, "
       "\"performance_runs\": %zu, \"encounter_runs\": %zu, "
-      "\"opponents\": %zu, \"seed\": %llu, \"batch_width\": %zu},\n",
+      "\"opponents\": %zu, \"seed\": %llu},\n",
       protocols, swarming::kProtocolCount / protocols, options.rounds,
       options.pra.population, options.pra.performance_runs,
       options.pra.encounter_runs, options.pra.opponent_sample,
-      static_cast<unsigned long long>(options.pra.seed), batch_width);
+      static_cast<unsigned long long>(options.pra.seed));
   append("  \"modes\": [\n");
-  for (const ModeResult* mode : {&dense, &sparse, &batch}) {
+  for (const ModeResult* mode : {&dense, &sparse}) {
     append(
         "    {\"engine\": \"%s\", \"simulations\": %zu, "
         "\"wall_seconds\": %.6f, \"sims_per_sec\": %.1f}%s\n",
         mode->engine.c_str(), mode->simulations, mode->wall_seconds,
-        mode->sims_per_sec, mode == &batch ? "" : ",");
+        mode->sims_per_sec, mode == &sparse ? "" : ",");
   }
   append("  ],\n");
   append("  \"speedup_sparse_vs_dense\": %.3f,\n", speedup);
-  append("  \"speedup_batch_vs_sparse\": %.3f,\n", batch_vs_sparse);
-  append("  \"speedup_batch_vs_dense\": %.3f,\n", batch_vs_dense);
   append("  \"scaling\": [\n");
   for (std::size_t i = 0; i < scaling.size(); ++i) {
     const ScalePoint& point = scaling[i];
@@ -377,15 +283,6 @@ int main() {
         point.population, point.dense_ms, point.sparse_ms, point.speedup,
         point.identical ? "true" : "false",
         i + 1 < scaling.size() ? "," : "");
-  }
-  append("  ],\n");
-  append("  \"batch_widths\": [\n");
-  for (std::size_t i = 0; i < widths.size(); ++i) {
-    append(
-        "    {\"width\": %zu, \"sims_per_sec\": %.1f, "
-        "\"speedup_vs_width1\": %.3f}%s\n",
-        widths[i].width, widths[i].sims_per_sec, widths[i].speedup_vs_width1,
-        i + 1 < widths.size() ? "," : "");
   }
   append("  ],\n");
   append("  \"outcomes_identical\": %s,\n",

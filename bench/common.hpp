@@ -61,8 +61,6 @@ inline const char* engine_name(swarming::SimEngine engine) {
   switch (engine) {
     case swarming::SimEngine::kDense:
       return "dense";
-    case swarming::SimEngine::kBatch:
-      return "batch";
     case swarming::SimEngine::kSparse:
       break;
   }

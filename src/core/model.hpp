@@ -41,12 +41,12 @@ class EncounterModel {
       std::uint32_t a, std::uint32_t b, std::size_t count_a,
       std::size_t count_b, std::uint64_t seed) const = 0;
 
-  // Batched variants: evaluate many runs at once so a model with a lockstep
-  // execution path (SimEngine::kBatch) can amortize its round loop across
-  // the batch. out[w] must equal the corresponding scalar call exactly —
-  // batching is an execution strategy, never a semantic change — which the
-  // defaults guarantee by delegating to the scalar virtuals one lane at a
-  // time. out.size() must equal seeds.size() / jobs.size().
+  // Batched variants: evaluate many runs in one call. out[w] must equal the
+  // corresponding scalar call exactly — batching is an execution strategy,
+  // never a semantic change — which the defaults guarantee by delegating to
+  // the scalar virtuals one lane at a time. PraEngine calls only the
+  // scalar virtuals; these stay because perfbench's TimedModel overrides
+  // them. out.size() must equal seeds.size() / jobs.size().
 
   /// homogeneous_utility(protocol, population, seeds[w]) for every lane.
   virtual void homogeneous_utility_batch(std::uint32_t protocol,

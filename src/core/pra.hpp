@@ -43,14 +43,6 @@ struct PraConfig {
   double minority_fraction = 0.1;    // Aggressiveness split for protocol Pi
   std::uint64_t seed = 2011;
   std::size_t threads = 0;           // 0 = hardware concurrency
-  /// Simulations per batched model call in quantify: each parallel task
-  /// evaluates up to batch_width runs through the model's batched entry
-  /// points (EncounterModel::homogeneous_utility_batch /
-  /// mixed_utilities_batch), which a lockstep engine turns into one W-wide
-  /// sweep. 1 = the scalar task grid. Results are identical at every width
-  /// (the batcher only regroups the flattened grid; seeds and reduction
-  /// order are unchanged). Must be in [1, 64].
-  std::size_t batch_width = 1;
   /// Optional progress observer: (protocols finished, protocols total).
   /// May be invoked concurrently from worker threads.
   std::function<void(std::size_t, std::size_t)> progress;

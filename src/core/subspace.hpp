@@ -42,24 +42,6 @@ class SubspaceModel final : public EncounterModel {
                                  seed);
   }
 
-  // Forward the batched entry points with ids remapped, so a lockstep base
-  // model keeps its W-wide execution through a subspace view.
-  void homogeneous_utility_batch(std::uint32_t protocol,
-                                 std::size_t population,
-                                 std::span<const std::uint64_t> seeds,
-                                 std::span<double> out) const override {
-    base_.homogeneous_utility_batch(member(protocol), population, seeds, out);
-  }
-
-  void mixed_utilities_batch(
-      std::uint32_t a, std::size_t count_a, std::size_t count_b,
-      std::span<const MixedJob> jobs,
-      std::span<std::pair<double, double>> out) const override {
-    std::vector<MixedJob> mapped(jobs.begin(), jobs.end());
-    for (MixedJob& job : mapped) job.opponent = member(job.opponent);
-    base_.mixed_utilities_batch(member(a), count_a, count_b, mapped, out);
-  }
-
   /// Base-space id of subset protocol `id`; throws std::out_of_range.
   [[nodiscard]] std::uint32_t member(std::uint32_t id) const {
     if (id >= members_.size()) {

@@ -64,11 +64,9 @@ swarming::SwarmingModel model_from_params(const ParamSet& params,
 
 JobRows execute_sweep(const Job& job) {
   const ParamSet& p = job.params;
-  const std::string engine_name = p.get_string("engine");
-  const swarming::SimEngine engine =
-      engine_name == "dense"   ? swarming::SimEngine::kDense
-      : engine_name == "batch" ? swarming::SimEngine::kBatch
-                               : swarming::SimEngine::kSparse;
+  const swarming::SimEngine engine = p.get_string("engine") == "dense"
+                                        ? swarming::SimEngine::kDense
+                                        : swarming::SimEngine::kSparse;
   const swarming::SwarmingModel model =
       model_from_params(p, engine, p.get_double("churn"));
   core::PraConfig pra;
@@ -79,7 +77,6 @@ JobRows execute_sweep(const Job& job) {
   pra.opponent_sample = static_cast<std::size_t>(p.get_int("opponent_sample"));
   pra.minority_fraction = p.get_double("minority_fraction");
   pra.seed = static_cast<std::uint64_t>(p.get_int("seed"));
-  pra.batch_width = static_cast<std::size_t>(p.get_int("batch_width"));
   // Jobs already run concurrently on the runner's pool; a nested pool here
   // would deadlock it. threads=1 makes the engine's parallel_for inline on
   // this worker — and per-item seeding keeps the numbers identical to any

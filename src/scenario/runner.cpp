@@ -33,18 +33,6 @@ std::filesystem::path spec_sidecar_path(const Plan& plan) {
   return path;
 }
 
-namespace {
-
-/// The fingerprint a sidecar records, or "" when there is none.
-std::string read_sidecar(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::string recorded;
-  if (in) std::getline(in, recorded);
-  return recorded;
-}
-
-}  // namespace
-
 std::vector<std::size_t> completed_jobs_in_manifest(const Plan& plan) {
   const ManifestData data = load_manifest(plan, manifest_path(plan));
   std::vector<std::size_t> completed;
@@ -66,31 +54,23 @@ RunReport run_scenario(const Plan& plan, const RunOptions& options) {
   // and is reused as before.
   const std::filesystem::path sidecar = spec_sidecar_path(plan);
   const std::string fingerprint = hex16(plan.spec_fingerprint);
-  if (std::filesystem::exists(plan.spec.output)) {
-    const std::string recorded = read_sidecar(sidecar);
-    if (recorded.empty() || recorded == fingerprint) {
-      report.reused_output = true;
-      report.skipped = report.total;
-      if (options.verbose) {
-        std::fprintf(stderr, "scenario '%s': output %s already exists\n",
-                     plan.spec.name.c_str(),
-                     plan.spec.output.string().c_str());
-      }
-      return report;
-    }
+  std::string stale;
+  if (util::reuse_cached_output(plan.spec.output, sidecar, fingerprint,
+                                &stale)) {
+    report.reused_output = true;
+    report.skipped = report.total;
     if (options.verbose) {
-      std::fprintf(stderr,
-                   "scenario '%s': output %s was written by spec %s, not "
-                   "this spec's %s; recomputing\n",
-                   plan.spec.name.c_str(), plan.spec.output.string().c_str(),
-                   recorded.c_str(), fingerprint.c_str());
+      std::fprintf(stderr, "scenario '%s': output %s already exists\n",
+                   plan.spec.name.c_str(), plan.spec.output.string().c_str());
     }
-    // Drop the stale output with its sidecar: a run killed before its merge
-    // must leave no output, or the rerun would take the no-sidecar branch
-    // above and reuse the other spec's numbers.
-    std::error_code ignored;
-    std::filesystem::remove(plan.spec.output, ignored);
-    std::filesystem::remove(sidecar, ignored);
+    return report;
+  }
+  if (options.verbose && !stale.empty()) {
+    std::fprintf(stderr,
+                 "scenario '%s': output %s was written by spec %s, not this "
+                 "spec's %s; recomputing\n",
+                 plan.spec.name.c_str(), plan.spec.output.string().c_str(),
+                 stale.c_str(), fingerprint.c_str());
   }
 
   // Heartbeat + time-series for `dsa_cli top`/`status`: one shard per job.
@@ -319,9 +299,7 @@ RunReport run_scenario(const Plan& plan, const RunOptions& options) {
   telemetry.set_phase("merge");
   {
     DSA_OBS_PHASE("scenario/merge");
-    // Sidecar first: a run killed between the two writes leaves a sidecar
-    // with no output, which every rerun recomputes.
-    util::atomic_write(sidecar, fingerprint + "\n");
+    util::write_sidecar(sidecar, fingerprint);
     merge_rows(plan, results).save(plan.spec.output);
   }
   if (!options.keep_manifest) {

@@ -140,8 +140,8 @@ enum class ParamCheck : std::uint8_t {
   kProtocolMenu,       // parse_protocol_menu must accept it
   kClient,             // one of the five swarm client names
   kClientOrSame,       // a client name or "same" (mirror param a)
-  kEngine,             // "sparse" | "dense" | "batch"
-  kBatchWidth,         // int in [1, 64]
+  kEngine,             // "sparse" | "dense"
+  kBatchWidth,         // the int 1 (see the sweep param list)
   kOpenUnitInterval,   // double in (0, 1)
   kUnitInterval,       // double in [0, 1]
   kNonNegative,        // number >= 0
@@ -175,6 +175,9 @@ const std::vector<ParamDef>& params_for(Kind kind) {
       {"minority_fraction", PT::kDouble, 0.1, PC::kOpenUnitInterval},
       {"seed", PT::kInt, std::int64_t{2011}, PC::kNonNegative},
       {"engine", PT::kString, std::string("sparse"), PC::kEngine},
+      // Retired with the lockstep engine; only 1 is accepted. Kept because
+      // its default axis is hashed into every sweep spec and job
+      // fingerprint (manifests, serve store keys).
       {"batch_width", PT::kInt, std::int64_t{1}, PC::kBatchWidth},
       {"churn", PT::kDouble, 0.0, PC::kUnitInterval},
   };
@@ -301,14 +304,15 @@ void check_value(const ParamDef& def, const ParamValue& value,
         }
         break;
       case ParamCheck::kEngine:
-        if (text() != "sparse" && text() != "dense" && text() != "batch") {
+        if (text() != "sparse" && text() != "dense") {
           throw std::invalid_argument("unknown engine '" + text() +
-                                      "' (want sparse, dense, or batch)");
+                                      "' (want sparse or dense)");
         }
         break;
       case ParamCheck::kBatchWidth:
-        if (!(number() >= 1.0 && number() <= 64.0)) {
-          throw std::invalid_argument("batch_width must be in [1, 64]");
+        if (number() != 1.0) {
+          throw std::invalid_argument(
+              "batch_width must be 1 (the batch engine is retired)");
         }
         break;
       case ParamCheck::kOpenUnitInterval:

@@ -20,8 +20,6 @@ scenario::Plan canonical_plan(const scenario::ScenarioSpec& spec) {
   for (scenario::Axis& axis : canon.axes) {
     if (axis.name == "engine") {
       axis.values = {scenario::ParamValue(std::string("sparse"))};
-    } else if (axis.name == "batch_width") {
-      axis.values = {scenario::ParamValue(std::int64_t{1})};
     }
   }
   return expand_plan(canon);

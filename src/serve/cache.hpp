@@ -8,9 +8,9 @@
 // answer.
 //
 // Keys are *canonical* fingerprints (canonical_plan below): the sweep
-// kind's `engine` and `batch_width` axes select equivalent implementations
-// of the same numbers, so they are pinned to sparse/1 before hashing and a
-// dense query warms the cache for a batch one.
+// kind's `engine` axis selects equivalent implementations of the same
+// numbers, so it is pinned to sparse before hashing and a dense query warms
+// the cache for a sparse one.
 //
 // Storage is an in-memory LRU under a byte budget, backed by an append-only
 // on-disk JSONL store whose lines use the manifest job-line schema (plus a
@@ -33,8 +33,7 @@
 namespace dsa::serve {
 
 /// The plan whose job fingerprints key the cache: `spec` with the sweep
-/// engine/batch_width axes pinned to sparse/1 (other kinds pass through
-/// unchanged). Job count and order always match expand_plan(spec) — only
+/// engine axis pinned to sparse (other kinds pass through unchanged). Job count and order always match expand_plan(spec) — only
 /// the fingerprints differ.
 [[nodiscard]] scenario::Plan canonical_plan(const scenario::ScenarioSpec& spec);
 

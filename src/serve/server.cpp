@@ -5,6 +5,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <list>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -62,12 +63,31 @@ std::map<std::string, std::uint64_t> Server::counters() const {
 }
 
 void Server::serve(std::atomic<bool>& stop) {
-  std::vector<std::thread> connections;
+  // One entry per connection thread not yet joined. A handler marks its
+  // entry finished as its last act and the accept loop joins finished
+  // entries, so the daemon holds a thread (and its stack) per open
+  // connection, not per connection ever accepted.
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> finished{false};
+  };
+  std::list<Connection> connections;
+  const auto join_finished = [&connections] {
+    for (auto it = connections.begin(); it != connections.end();) {
+      if (!it->finished.load(std::memory_order_acquire)) {
+        ++it;
+        continue;
+      }
+      it->thread.join();
+      it = connections.erase(it);
+    }
+  };
   if (options_.verbose) {
     std::fprintf(stderr, "serve: listening on %s (%zu worker thread(s))\n",
                  listener_.path().string().c_str(), pool_.thread_count());
   }
   while (!stop.load(std::memory_order_relaxed)) {
+    join_finished();
     util::LineSocket connection = listener_.accept(options_.poll_ms);
     if (!connection.valid()) continue;  // timeout or EINTR — re-check stop
     connections_.fetch_add(1, std::memory_order_relaxed);
@@ -76,14 +96,18 @@ void Server::serve(std::atomic<bool>& stop) {
       std::lock_guard lock(live_mutex_);
       live_fds_.push_back(fd);
     }
-    connections.emplace_back(
-        [this, &stop, fd, conn = std::move(connection)]() mutable {
-          handle_connection(conn, stop);
-          // Forget the descriptor before the closure closes it, so the
-          // shutdown below never reaches a reused descriptor number.
-          std::lock_guard lock(live_mutex_);
-          std::erase(live_fds_, fd);
-        });
+    Connection& entry = connections.emplace_back();
+    entry.thread = std::thread([this, &stop, fd, &finished = entry.finished,
+                                conn = std::move(connection)]() mutable {
+      handle_connection(conn, stop);
+      {
+        // Forget the descriptor before the closure closes it, so the
+        // shutdown below never reaches a reused descriptor number.
+        std::lock_guard lock(live_mutex_);
+        std::erase(live_fds_, fd);
+      }
+      finished.store(true, std::memory_order_release);
+    });
   }
   {
     // A handler blocked on a half-sent line only wakes when its socket
@@ -92,7 +116,7 @@ void Server::serve(std::atomic<bool>& stop) {
     std::lock_guard lock(live_mutex_);
     for (const int fd : live_fds_) ::shutdown(fd, SHUT_RD);
   }
-  for (std::thread& thread : connections) thread.join();
+  for (Connection& entry : connections) entry.thread.join();
   pool_.wait_idle();
   telemetry_.watch_pool(nullptr);
   telemetry_.finish(true);

@@ -4,7 +4,8 @@
 // unix-socket listener. serve() accepts connections until asked to stop
 // (an external atomic a signal handler can set, or a client "shutdown"
 // request) and answers the wire protocol in serve/protocol.hpp. Each
-// connection gets its own thread; query jobs from every connection share
+// connection gets its own thread, joined by the accept loop once the
+// connection ends; query jobs from every connection share
 // the one pool, so a second client's cheap cached query is not stuck
 // behind a first client's cold sweep.
 //

@@ -37,20 +37,6 @@ class SwarmingModel final : public core::EncounterModel,
       std::uint32_t a, std::uint32_t b, std::size_t count_a,
       std::size_t count_b, std::uint64_t seed) const override;
 
-  /// Batched overrides: when the base config selects SimEngine::kBatch the
-  /// lanes run through the lockstep engine (batch_engine.hpp); on any other
-  /// engine they fall back to the scalar virtuals lane-by-lane. Results are
-  /// bitwise-identical either way.
-  void homogeneous_utility_batch(std::uint32_t protocol,
-                                 std::size_t population,
-                                 std::span<const std::uint64_t> seeds,
-                                 std::span<double> out) const override;
-
-  void mixed_utilities_batch(
-      std::uint32_t a, std::size_t count_a, std::size_t count_b,
-      std::span<const core::MixedJob> jobs,
-      std::span<std::pair<double, double>> out) const override;
-
   /// N-group mixed population (PopulationModel): groups occupy consecutive
   /// index ranges; capacities are a stratified draw shuffled by the seed.
   [[nodiscard]] std::vector<double> group_utilities(

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <stdexcept>
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -17,6 +16,7 @@
 #include "swarming/dsa_model.hpp"
 #include "util/env.hpp"
 #include "util/fingerprint.hpp"
+#include "util/fs.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dsa::swarming {
@@ -26,8 +26,9 @@ namespace {
 using util::exact_number;
 
 /// Hash of every option that affects the sweep's numbers. Baked into the
-/// checkpoint filename so a resume never continues from incompatible data.
-std::uint64_t options_fingerprint(const PraDatasetOptions& options) {
+/// checkpoint filename so a resume never continues from incompatible data,
+/// and recorded in the finished dataset's sidecar.
+util::Fingerprint options_fingerprint(const PraDatasetOptions& options) {
   return util::Fingerprint(options.pra.seed ^ 0x50a5c4ec8f21d3b7ULL)
       .mix(static_cast<std::uint64_t>(options.pra.population))
       .mix(static_cast<std::uint64_t>(options.pra.performance_runs))
@@ -35,8 +36,13 @@ std::uint64_t options_fingerprint(const PraDatasetOptions& options) {
       .mix(static_cast<std::uint64_t>(options.pra.opponent_sample))
       .mix(static_cast<std::uint64_t>(
           std::llround(options.pra.minority_fraction * 1e6)))
-      .mix(static_cast<std::uint64_t>(options.rounds))
-      .value();
+      .mix(static_cast<std::uint64_t>(options.rounds));
+}
+
+std::filesystem::path options_sidecar_path(const PraDatasetOptions& options) {
+  std::filesystem::path path = options.path;
+  path += ".options";
+  return path;
 }
 
 /// One kPra summary event per protocol (run = actor = protocol id, so the
@@ -75,24 +81,10 @@ PraDatasetOptions PraDatasetOptions::from_environment() {
       static_cast<std::size_t>(util::env_int("DSA_THREADS", 0));
   options.pra.seed =
       static_cast<std::uint64_t>(util::env_int("DSA_SEED", 2011));
-  const std::string engine =
-      util::env_enum("DSA_ENGINE", "sparse", {"sparse", "dense", "batch"});
-  options.engine = engine == "dense"   ? SimEngine::kDense
-                   : engine == "batch" ? SimEngine::kBatch
-                                       : SimEngine::kSparse;
-  // 0 = auto: a useful lockstep width on the batch engine, the plain scalar
-  // grid otherwise. Validated here so a bad value names the variable instead
-  // of surfacing as a PraEngine constructor error mid-sweep.
-  const auto batch_width =
-      static_cast<std::size_t>(util::env_int("DSA_BATCH_WIDTH", 0));
-  if (batch_width > 64) {
-    throw std::invalid_argument(
-        "DSA_BATCH_WIDTH: must be in [0, 64] (0 = auto), got " +
-        std::to_string(batch_width));
-  }
-  options.pra.batch_width =
-      batch_width != 0 ? batch_width
-                       : (options.engine == SimEngine::kBatch ? 8 : 1);
+  options.engine =
+      util::env_enum("DSA_ENGINE", "sparse", {"sparse", "dense"}) == "dense"
+          ? SimEngine::kDense
+          : SimEngine::kSparse;
   options.path = util::env_string("DSA_RESULTS", "results/pra_results.csv");
   options.checkpoint_interval =
       static_cast<std::size_t>(util::env_int("DSA_CHECKPOINT", 256));
@@ -100,7 +92,8 @@ PraDatasetOptions PraDatasetOptions::from_environment() {
 }
 
 std::filesystem::path pra_checkpoint_path(const PraDatasetOptions& options) {
-  return util::checkpoint_path(options.path, options_fingerprint(options));
+  return util::checkpoint_path(options.path,
+                               options_fingerprint(options).value());
 }
 
 void save_pra_checkpoint(const std::vector<PraRecord>& records,
@@ -168,7 +161,7 @@ std::vector<PraRecord> compute_pra_dataset(const PraDatasetOptions& options,
   obs::TelemetryRun telemetry = obs::Telemetry::global().begin_run(
       {.name = obs::sanitize_run_name(options.path.stem().string()),
        .kind = "sweep",
-       .spec_fingerprint = options_fingerprint(options),
+       .spec_fingerprint = options_fingerprint(options).value(),
        .jobs_total = kProtocolCount,
        .output = options.path.string()});
   telemetry.watch_pool(&pool);
@@ -332,12 +325,22 @@ std::vector<PraRecord> load_pra_dataset(const std::filesystem::path& path) {
 
 std::vector<PraRecord> load_or_compute_pra_dataset(
     const PraDatasetOptions& options, bool verbose) {
-  if (std::filesystem::exists(options.path)) {
+  const std::filesystem::path sidecar = options_sidecar_path(options);
+  const std::string fingerprint = options_fingerprint(options).hex();
+  std::string stale;
+  if (util::reuse_cached_output(options.path, sidecar, fingerprint, &stale)) {
     if (verbose) {
       std::fprintf(stderr, "loading cached PRA dataset: %s\n",
                    options.path.string().c_str());
     }
     return load_pra_dataset(options.path);
+  }
+  if (verbose && !stale.empty()) {
+    std::fprintf(stderr,
+                 "cached PRA dataset %s was computed with options %s, not "
+                 "these options' %s; recomputing\n",
+                 options.path.string().c_str(), stale.c_str(),
+                 fingerprint.c_str());
   }
   if (verbose) {
     std::fprintf(stderr,
@@ -346,6 +349,7 @@ std::vector<PraRecord> load_or_compute_pra_dataset(
                  options.path.string().c_str());
   }
   std::vector<PraRecord> records = compute_pra_dataset(options, verbose);
+  util::write_sidecar(sidecar, fingerprint);
   save_pra_dataset(records, options.path);
   // The finished dataset supersedes any partial checkpoint.
   std::error_code ignored;

@@ -11,13 +11,9 @@
 //   DSA_OPPONENTS       opponents sampled/protocol  (default 24;  paper: all)
 //   DSA_THREADS         worker threads              (default: hardware)
 //   DSA_SEED            master seed                 (default 2011)
-//   DSA_ENGINE          sparse (default) | dense | batch simulation engine —
-//                       all bitwise-identical; dense is the slow reference
-//                       path kept for equivalence checks, batch the lockstep
-//                       engine that runs DSA_BATCH_WIDTH simulations at once
-//   DSA_BATCH_WIDTH     simulations per lockstep batch (1-64; default 0 =
-//                       auto: 8 with DSA_ENGINE=batch, else 1). Never
-//                       changes results — only how the task grid is grouped
+//   DSA_ENGINE          sparse (default) | dense simulation engine — both
+//                       bitwise-identical; dense is the slow reference path
+//                       kept for equivalence checks
 //   DSA_FULL=1          shorthand for the paper-fidelity values above
 //   DSA_RESULTS         dataset path (default results/pra_results.csv)
 //   DSA_CHECKPOINT      protocols per checkpoint chunk (default 256; 0 off)
@@ -28,6 +24,10 @@
 // the checkpoint after a crash or kill. Per-protocol seeds depend only on
 // (seed, protocol, run), so a resumed sweep produces bitwise-identical
 // results to an uninterrupted one.
+//
+// A finished dataset carries a `<path>.options` sidecar holding the same
+// fingerprint, so a cached CSV computed with other knobs (say, another
+// DSA_SEED) is recomputed instead of silently reused.
 #pragma once
 
 #include <filesystem>
@@ -59,9 +59,8 @@ struct PraDatasetOptions {
   std::filesystem::path path = "results/pra_results.csv";
   /// Protocols computed between checkpoint saves; 0 disables checkpointing.
   std::size_t checkpoint_interval = 256;
-  /// Simulation engine (DSA_ENGINE=dense selects the reference path,
-  /// DSA_ENGINE=batch the lockstep path). Deliberately excluded from the
-  /// checkpoint fingerprint, as is pra.batch_width: engines and widths are
+  /// Simulation engine (DSA_ENGINE=dense selects the reference path).
+  /// Deliberately excluded from the checkpoint fingerprint: the engines are
   /// bitwise-identical, so their checkpoints are interchangeable.
   SimEngine engine = SimEngine::kSparse;
 
@@ -98,7 +97,9 @@ void save_pra_dataset(const std::vector<PraRecord>& records,
 std::vector<PraRecord> load_pra_dataset(const std::filesystem::path& path);
 
 /// Loads the dataset at options.path, computing and saving it first when
-/// missing (the shared-cache behavior of the figure benches).
+/// missing (the shared-cache behavior of the figure benches). A dataset
+/// whose `<path>.options` sidecar names other options is deleted and
+/// recomputed; one with no sidecar is reused, as scenario outputs are.
 std::vector<PraRecord> load_or_compute_pra_dataset(
     const PraDatasetOptions& options, bool verbose = true);
 

@@ -4,15 +4,14 @@
 #include <array>
 #include <bit>
 #include <cmath>
-#include <span>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/profiler.hpp"
 #include "obs/recorder.hpp"
-#include "swarming/batch_engine.hpp"
-#include "swarming/engine_detail.hpp"
+#include "obs/sketch/sketch.hpp"
+#include "util/virtual_shuffle.hpp"
 
 namespace dsa::swarming {
 
@@ -61,7 +60,92 @@ double SimulationOutcome::population_mean() const {
 }
 
 // ------------------------------------------------------------ workspace --
-// SimWorkspace::Impl itself is defined in engine_detail.hpp.
+
+namespace {
+
+/// One ranked candidate with its ordering key hoisted out, so the partial
+/// sort compares scalars instead of re-reading the history on every
+/// comparison.
+struct RankEntry {
+  double key;
+  std::uint32_t tie;
+  std::uint32_t id;
+};
+
+}  // namespace
+
+struct SimWorkspace::Impl {
+  /// One generation of the interaction history. The now/prev/next roles
+  /// rotate between rounds instead of copying. Row `receiver` of `bits`
+  /// holds ⌈n/64⌉ words; bit g is set when giver g opened a slot to that
+  /// receiver this round. value[receiver * n + giver] carries the slot's
+  /// bandwidth and means something only where the bit is set, so
+  /// recycling a generation zeroes n·⌈n/64⌉ words and never touches the
+  /// n^2 values.
+  struct Generation {
+    std::vector<std::uint64_t> bits;
+    std::vector<double> value;
+  };
+
+  std::array<Generation, 3> gen;
+  std::size_t words = 0;  // ⌈n/64⌉, the length of one bit row
+  /// Consecutive rounds with a positive gift, [receiver * n + giver]. Only
+  /// a Loyal ranker reads it, so a run without one leaves it untouched.
+  std::vector<std::uint16_t> streak;
+
+  std::vector<double> capacities;
+  std::vector<double> aspiration;
+  std::vector<double> round_received;
+  std::vector<double> total_received;
+
+  // Per-peer scratch reused across rounds. `candidates` and
+  // `candidate_window` hold n entries; a peer's list fills their front.
+  std::vector<std::uint32_t> candidates;
+  std::vector<std::uint32_t> eligible_strangers;
+  util::VirtualShuffle stranger_shuffle;
+  std::vector<std::uint32_t> tie_priority;
+  std::vector<std::uint32_t> victim_scratch;
+  std::vector<RankEntry> rank_entries;
+  /// Window bandwidth per candidate, aligned with `candidates` at build
+  /// time — the Fastest/Slowest ranking key without re-reading the
+  /// history. Filled only for those rankers.
+  std::vector<double> candidate_window;
+
+  /// True when the last prepare() found the n^2 arrays already sized.
+  bool last_prepare_reused = false;
+
+  /// Readies the workspace for a fresh n-peer run: O(n·⌈n/64⌉) zeroing
+  /// (O(n^2) more with `keep_streaks`) and, once the buffers have grown to
+  /// this n, zero allocations.
+  void prepare(std::size_t n, const std::vector<double>& caps,
+               bool keep_streaks) {
+    const std::size_t cells = n * n;
+    words = (n + 63) / 64;
+    // A reuse hit means the n^2 arrays were already big enough — the
+    // whole run proceeds allocation-free (reported as the
+    // sim.sparse.workspace_reuse_hits metric).
+    last_prepare_reused = gen[0].value.size() >= cells &&
+                          (!keep_streaks || streak.size() >= cells);
+    for (Generation& g : gen) {
+      g.bits.assign(n * words, 0);
+      g.value.resize(cells);
+    }
+    if (keep_streaks) streak.assign(cells, 0);
+
+    capacities = caps;
+    aspiration = caps;
+    round_received.assign(n, 0.0);
+    total_received.assign(n, 0.0);
+    candidates.resize(n);
+    eligible_strangers.clear();
+    eligible_strangers.reserve(n);
+    tie_priority.assign(n, 0);
+    victim_scratch.clear();
+    rank_entries.clear();
+    rank_entries.reserve(n);
+    candidate_window.resize(n);
+  }
+};
 
 SimWorkspace::SimWorkspace() : impl_(std::make_unique<Impl>()) {}
 SimWorkspace::~SimWorkspace() = default;
@@ -69,6 +153,97 @@ SimWorkspace::SimWorkspace(SimWorkspace&&) noexcept = default;
 SimWorkspace& SimWorkspace::operator=(SimWorkspace&&) noexcept = default;
 
 namespace {
+
+/// Streams one finished run's per-peer score spread into the swarm-health
+/// sketches ("sim.score" quantiles + moments). Shared by both engines so
+/// the telemetry timeline reads the same regardless of engine choice; pure
+/// observer — never touches RNG or outcome values.
+void observe_score_spread(const std::vector<double>& peer_throughput) {
+  if (!obs::enabled()) return;
+  static const obs::QuantileSketch score =
+      obs::SketchRegistry::global().sketch("sim.score");
+  static const obs::MomentsAccumulator spread =
+      obs::SketchRegistry::global().moments("sim.score");
+  for (double value : peer_throughput) {
+    score.insert(value);
+    spread.insert(value);
+  }
+}
+
+/// Peer lifecycle at the end of round `round`, run by both engines'
+/// finish_round: the legacy churn_rate knob first (preserving the
+/// historical RNG draw order), then the scheduled fault processes in list
+/// order. Victims are chosen here from `capacities` (the engine's live
+/// capacity array, one entry per peer) with `victims` as scratch;
+/// `replace_peer(i)` is the engine's own reset of peer i, which draws the
+/// fresh capacity from `rng`. A run with no churn and no faults draws
+/// nothing and touches nothing.
+template <typename ReplacePeer>
+void apply_churn_and_faults(const SimulationConfig& config, std::size_t round,
+                            util::Rng& rng, std::vector<double>& capacities,
+                            std::vector<std::uint32_t>& victims,
+                            ReplacePeer&& replace_peer) {
+  const std::size_t n = capacities.size();
+  auto churn = [&](double rate) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (rng.chance(rate)) replace_peer(i);
+    }
+  };
+  auto reset_victims = [&] {
+    victims.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      victims[i] = static_cast<std::uint32_t>(i);
+    }
+  };
+  if (config.churn_rate > 0.0) churn(config.churn_rate);
+  using fault::FaultProcessKind;
+  for (const fault::FaultProcess& process : config.faults) {
+    switch (process.kind) {
+      case FaultProcessKind::kMemorylessChurn:
+        if (process.rate > 0.0) churn(process.rate);
+        break;
+      case FaultProcessKind::kBurstChurn: {
+        // The burst strikes at the end of rounds period-1, 2*period-1, ...
+        if ((round + 1) % process.period != 0) break;
+        const auto hit = static_cast<std::size_t>(
+            std::lround(process.fraction * static_cast<double>(n)));
+        if (hit == 0) break;
+        reset_victims();
+        for (std::size_t i = 0; i < hit; ++i) {
+          const std::size_t j = i + static_cast<std::size_t>(rng.below(n - i));
+          std::swap(victims[i], victims[j]);
+          replace_peer(victims[i]);
+        }
+        break;
+      }
+      case FaultProcessKind::kCapacityDegradation:
+        if (round != process.round) break;
+        for (double& capacity : capacities) capacity *= process.factor;
+        break;
+      case FaultProcessKind::kTargetedFailure: {
+        if (round != process.round) break;
+        const auto hit = std::min(
+            static_cast<std::size_t>(
+                std::lround(process.fraction * static_cast<double>(n))),
+            n);
+        if (hit == 0) break;
+        // Take out exactly the top-capacity class (ties break on index so
+        // replays are deterministic).
+        reset_victims();
+        std::partial_sort(victims.begin(),
+                          victims.begin() + static_cast<std::ptrdiff_t>(hit),
+                          victims.end(), [&](std::uint32_t a, std::uint32_t b) {
+                            if (capacities[a] != capacities[b]) {
+                              return capacities[a] > capacities[b];
+                            }
+                            return a < b;
+                          });
+        for (std::size_t i = 0; i < hit; ++i) replace_peer(victims[i]);
+        break;
+      }
+    }
+  }
+}
 
 /// The original (seed) implementation: all mutable per-run state laid out as
 /// dense n^2 matrices refilled every round, freshly allocated per run.
@@ -480,81 +655,9 @@ class DenseEngine {
       total_received_[i] += round_received_[i];
     }
 
-    // Churn: replace peers with fresh same-protocol ones. The legacy knob
-    // runs first (preserving the historical RNG draw order), then the
-    // scheduled fault processes in list order.
-    if (config_.churn_rate > 0.0) {
-      for (std::size_t i = 0; i < n_; ++i) {
-        if (rng_.chance(config_.churn_rate)) replace_peer(i);
-      }
-    }
-    for (const fault::FaultProcess& process : config_.faults) {
-      apply_fault(process, round);
-    }
-  }
-
-  void apply_fault(const fault::FaultProcess& process, std::size_t round) {
-    using fault::FaultProcessKind;
-    switch (process.kind) {
-      case FaultProcessKind::kMemorylessChurn: {
-        if (process.rate <= 0.0) break;
-        for (std::size_t i = 0; i < n_; ++i) {
-          if (rng_.chance(process.rate)) replace_peer(i);
-        }
-        break;
-      }
-      case FaultProcessKind::kBurstChurn: {
-        // The burst strikes at the end of rounds period-1, 2*period-1, ...
-        if ((round + 1) % process.period != 0) break;
-        const auto hit = static_cast<std::size_t>(std::lround(
-            process.fraction * static_cast<double>(n_)));
-        if (hit == 0) break;
-        victim_scratch_.resize(n_);
-        for (std::size_t i = 0; i < n_; ++i) {
-          victim_scratch_[i] = static_cast<std::uint32_t>(i);
-        }
-        for (std::size_t i = 0; i < hit; ++i) {
-          const std::size_t j =
-              i + static_cast<std::size_t>(rng_.below(n_ - i));
-          std::swap(victim_scratch_[i], victim_scratch_[j]);
-          replace_peer(victim_scratch_[i]);
-        }
-        break;
-      }
-      case FaultProcessKind::kCapacityDegradation: {
-        if (round != process.round) break;
-        for (std::size_t i = 0; i < n_; ++i) {
-          capacities_[i] *= process.factor;
-        }
-        break;
-      }
-      case FaultProcessKind::kTargetedFailure: {
-        if (round != process.round) break;
-        const auto hit = static_cast<std::size_t>(std::lround(
-            process.fraction * static_cast<double>(n_)));
-        if (hit == 0) break;
-        // Take out exactly the top-capacity class (ties break on index so
-        // replays are deterministic).
-        victim_scratch_.resize(n_);
-        for (std::size_t i = 0; i < n_; ++i) {
-          victim_scratch_[i] = static_cast<std::uint32_t>(i);
-        }
-        std::partial_sort(victim_scratch_.begin(),
-                          victim_scratch_.begin() +
-                              static_cast<std::ptrdiff_t>(std::min(hit, n_)),
-                          victim_scratch_.end(),
-                          [&](std::uint32_t a, std::uint32_t b) {
-                            if (capacities_[a] != capacities_[b]) {
-                              return capacities_[a] > capacities_[b];
-                            }
-                            return a < b;
-                          });
-        for (std::size_t i = 0; i < std::min(hit, n_); ++i) {
-          replace_peer(victim_scratch_[i]);
-        }
-        break;
-      }
-    }
+    // Churn: replace peers with fresh same-protocol ones.
+    apply_churn_and_faults(config_, round, rng_, capacities_, victim_scratch_,
+                           [this](std::size_t i) { replace_peer(i); });
   }
 
   void replace_peer(std::size_t i) {
@@ -1173,79 +1276,9 @@ class SparseEngine {
       ws_.total_received[i] += round_received[i];
     }
 
-    // Churn, then scheduled fault processes — same RNG draw order as the
-    // dense engine.
-    if (config_.churn_rate > 0.0) {
-      for (std::size_t i = 0; i < n_; ++i) {
-        if (rng_.chance(config_.churn_rate)) replace_peer(i);
-      }
-    }
-    for (const fault::FaultProcess& process : config_.faults) {
-      apply_fault(process, round);
-    }
-  }
-
-  void apply_fault(const fault::FaultProcess& process, std::size_t round) {
-    using fault::FaultProcessKind;
-    switch (process.kind) {
-      case FaultProcessKind::kMemorylessChurn: {
-        if (process.rate <= 0.0) break;
-        for (std::size_t i = 0; i < n_; ++i) {
-          if (rng_.chance(process.rate)) replace_peer(i);
-        }
-        break;
-      }
-      case FaultProcessKind::kBurstChurn: {
-        if ((round + 1) % process.period != 0) break;
-        const auto hit = static_cast<std::size_t>(std::lround(
-            process.fraction * static_cast<double>(n_)));
-        if (hit == 0) break;
-        auto& victims = ws_.victim_scratch;
-        victims.resize(n_);
-        for (std::size_t i = 0; i < n_; ++i) {
-          victims[i] = static_cast<std::uint32_t>(i);
-        }
-        for (std::size_t i = 0; i < hit; ++i) {
-          const std::size_t j =
-              i + static_cast<std::size_t>(rng_.below(n_ - i));
-          std::swap(victims[i], victims[j]);
-          replace_peer(victims[i]);
-        }
-        break;
-      }
-      case FaultProcessKind::kCapacityDegradation: {
-        if (round != process.round) break;
-        for (std::size_t i = 0; i < n_; ++i) {
-          ws_.capacities[i] *= process.factor;
-        }
-        break;
-      }
-      case FaultProcessKind::kTargetedFailure: {
-        if (round != process.round) break;
-        const auto hit = static_cast<std::size_t>(std::lround(
-            process.fraction * static_cast<double>(n_)));
-        if (hit == 0) break;
-        auto& victims = ws_.victim_scratch;
-        victims.resize(n_);
-        for (std::size_t i = 0; i < n_; ++i) {
-          victims[i] = static_cast<std::uint32_t>(i);
-        }
-        std::partial_sort(victims.begin(),
-                          victims.begin() +
-                              static_cast<std::ptrdiff_t>(std::min(hit, n_)),
-                          victims.end(),
-                          [&](std::uint32_t a, std::uint32_t b) {
-                            if (ws_.capacities[a] != ws_.capacities[b]) {
-                              return ws_.capacities[a] > ws_.capacities[b];
-                            }
-                            return a < b;
-                          });
-        for (std::size_t i = 0; i < std::min(hit, n_); ++i) {
-          replace_peer(victims[i]);
-        }
-        break;
-      }
-    }
+    apply_churn_and_faults(config_, round, rng_, ws_.capacities,
+                           ws_.victim_scratch,
+                           [this](std::size_t i) { replace_peer(i); });
   }
 
   /// Replaces peer i with a fresh same-protocol peer: clears i's bit row
@@ -1343,16 +1376,6 @@ SimulationOutcome simulate_rounds(const std::vector<ProtocolSpec>& protocols,
   if (config.engine == SimEngine::kDense) {
     DenseEngine engine(protocols, capacities, config, churn_source);
     return engine.run();
-  }
-  if (config.engine == SimEngine::kBatch) {
-    // A single-lane batch: the lockstep engine degenerates to one stream,
-    // so the scalar entry point exercises the same code the W-wide path
-    // runs — and stays bitwise-identical to the other engines.
-    const BatchLane lane{&protocols, &capacities, config.seed};
-    return std::move(
-        simulate_rounds_batch(std::span<const BatchLane>(&lane, 1), config,
-                              churn_source)
-            .front());
   }
   if (workspace == nullptr) {
     // One reusable workspace per thread: a sweep's worker threads each

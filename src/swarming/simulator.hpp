@@ -51,13 +51,11 @@
 
 namespace dsa::swarming {
 
-/// Which implementation of the round model executes a run. All engines
+/// Which implementation of the round model executes a run. Both engines
 /// produce bitwise-identical outcomes for every configuration (enforced by
 /// the simulator tests and the golden-fingerprint tests); kSparse is the
-/// default production path, kDense the original O(n^2)-per-round
-/// implementation kept as the reference for equivalence checks and
-/// before/after benchmarking, and kBatch the lockstep engine that advances
-/// W independent simulations at once (see batch_engine.hpp).
+/// production path, kDense the original O(n^2)-per-round implementation
+/// kept as the readable reference it is tested against.
 enum class SimEngine : std::uint8_t {
   /// Per-receiver bitset round state + reusable workspace, keeping only the
   /// state the population reads: per-round cost O(n * (k + h)) plus
@@ -67,12 +65,6 @@ enum class SimEngine : std::uint8_t {
   /// The seed implementation: dense n^2 matrices refilled every round,
   /// freshly allocated per simulation.
   kDense,
-  /// Batch-lockstep engine: W simulations advance round-by-round together,
-  /// per-peer scalars held as W-wide lanes (structure-of-arrays over runs)
-  /// and RNG draws bulk-advanced across the batch. Through this scalar
-  /// entry point it runs a single-lane batch; the W-wide path is
-  /// simulate_rounds_batch in batch_engine.hpp.
-  kBatch,
 };
 
 /// Reusable scratch memory for the sparse engine: the interaction-history
@@ -194,8 +186,8 @@ SimulationOutcome simulate_rounds(
 
 /// Stratified capacities shuffled with the run's seed so group membership is
 /// uncorrelated with capacity — the capacity draw every encounter and
-/// homogeneous run uses. Exposed so batch callers can reproduce the exact
-/// per-run capacity vectors.
+/// homogeneous run uses. Exposed so callers of simulate_rounds can reproduce
+/// the exact per-run capacity vectors.
 std::vector<double> shuffled_capacities(std::size_t count,
                                         const BandwidthDistribution& dist,
                                         std::uint64_t seed);

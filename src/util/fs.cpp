@@ -2,7 +2,6 @@
 
 #include <fstream>
 #include <stdexcept>
-#include <string>
 
 namespace dsa::util {
 
@@ -36,6 +35,28 @@ void atomic_write(const std::filesystem::path& path,
     throw std::runtime_error("atomic_write: rename to " + path.string() +
                              " failed: " + ec.message());
   }
+}
+
+bool reuse_cached_output(const std::filesystem::path& output,
+                         const std::filesystem::path& sidecar,
+                         std::string_view fingerprint, std::string* stale) {
+  if (!std::filesystem::exists(output)) return false;
+  std::string recorded;
+  {
+    std::ifstream in(sidecar, std::ios::binary);
+    if (in) std::getline(in, recorded);
+  }
+  if (recorded.empty() || recorded == fingerprint) return true;
+  if (stale != nullptr) *stale = recorded;
+  std::error_code ignored;
+  std::filesystem::remove(output, ignored);
+  std::filesystem::remove(sidecar, ignored);
+  return false;
+}
+
+void write_sidecar(const std::filesystem::path& sidecar,
+                   std::string_view fingerprint) {
+  atomic_write(sidecar, std::string(fingerprint) + "\n");
 }
 
 }  // namespace dsa::util

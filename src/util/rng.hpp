@@ -11,8 +11,6 @@
 #include <array>
 #include <cstdint>
 #include <limits>
-#include <span>
-#include <vector>
 
 namespace dsa::util {
 
@@ -127,107 +125,6 @@ class Rng {
   }
 
   std::array<std::uint64_t, 4> state_{};
-};
-
-/// W independent xoshiro256** streams advanced in lockstep, state held as
-/// structure-of-arrays (state_[word * width + lane]) so next_all()'s
-/// per-lane update compiles to straight-line vector code (shifts, xors,
-/// rotates — no lane interaction). Lane `w` seeded with seeds[w] produces
-/// exactly the sequence Rng(seeds[w]) produces: next_all() advances every
-/// lane by one draw, the scalar per-lane helpers advance just that lane,
-/// and mixing the two access styles keeps each lane's stream identical to
-/// its scalar twin as long as the per-lane draw order matches.
-class LaneRng {
- public:
-  using result_type = std::uint64_t;
-
-  LaneRng() = default;
-  explicit LaneRng(std::span<const std::uint64_t> seeds) { reset(seeds); }
-
-  /// Re-seeds to `seeds.size()` lanes; lane w matches Rng(seeds[w]).
-  void reset(std::span<const std::uint64_t> seeds) {
-    width_ = seeds.size();
-    state_.resize(4 * width_);
-    for (std::size_t lane = 0; lane < width_; ++lane) {
-      std::uint64_t s = seeds[lane];
-      for (std::size_t word = 0; word < 4; ++word) {
-        state_[word * width_ + lane] = splitmix64(s);
-      }
-    }
-  }
-
-  [[nodiscard]] std::size_t width() const noexcept { return width_; }
-
-  /// One raw draw per lane into out[0, width): the vectorizable bulk path.
-  void next_all(std::uint64_t* out) noexcept {
-    std::uint64_t* s0 = state_.data();
-    std::uint64_t* s1 = s0 + width_;
-    std::uint64_t* s2 = s1 + width_;
-    std::uint64_t* s3 = s2 + width_;
-    for (std::size_t lane = 0; lane < width_; ++lane) {
-      const std::uint64_t b = s1[lane];
-      out[lane] = rotl(b * 5, 7) * 9;
-      const std::uint64_t t = b << 17;
-      s2[lane] ^= s0[lane];
-      s3[lane] ^= b;
-      s1[lane] ^= s2[lane];
-      s0[lane] ^= s3[lane];
-      s2[lane] ^= t;
-      s3[lane] = rotl(s3[lane], 45);
-    }
-  }
-
-  /// Next raw draw of one lane (the data-dependent scalar path).
-  std::uint64_t next(std::size_t lane) noexcept {
-    std::uint64_t& s0 = state_[0 * width_ + lane];
-    std::uint64_t& s1 = state_[1 * width_ + lane];
-    std::uint64_t& s2 = state_[2 * width_ + lane];
-    std::uint64_t& s3 = state_[3 * width_ + lane];
-    const std::uint64_t result = rotl(s1 * 5, 7) * 9;
-    const std::uint64_t t = s1 << 17;
-    s2 ^= s0;
-    s3 ^= s1;
-    s1 ^= s2;
-    s0 ^= s3;
-    s2 ^= t;
-    s3 = rotl(s3, 45);
-    return result;
-  }
-
-  /// Uniform double in [0, 1) on one lane; same mapping as Rng::uniform.
-  double uniform(std::size_t lane) noexcept {
-    return static_cast<double>(next(lane) >> 11) * 0x1.0p-53;
-  }
-
-  /// Uniform integer in [0, n) on one lane; Lemire rejection, draw-for-draw
-  /// identical to Rng::below.
-  std::uint64_t below(std::size_t lane, std::uint64_t n) noexcept {
-    std::uint64_t x = next(lane);
-    __uint128_t m = static_cast<__uint128_t>(x) * n;
-    auto lo = static_cast<std::uint64_t>(m);
-    if (lo < n) {
-      const std::uint64_t threshold = (0 - n) % n;
-      while (lo < threshold) {
-        x = next(lane);
-        m = static_cast<__uint128_t>(x) * n;
-        lo = static_cast<std::uint64_t>(m);
-      }
-    }
-    return static_cast<std::uint64_t>(m >> 64);
-  }
-
-  /// Bernoulli trial with success probability p on one lane.
-  bool chance(std::size_t lane, double p) noexcept {
-    return uniform(lane) < p;
-  }
-
- private:
-  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-    return (x << k) | (x >> (64 - k));
-  }
-
-  std::size_t width_ = 0;
-  std::vector<std::uint64_t> state_;
 };
 
 }  // namespace dsa::util

@@ -161,8 +161,7 @@ struct SliceScale {
 /// reuses the pool's thread-local simulation workspaces).
 std::string pra_slice_bytes(swarming::SimEngine sim_engine,
                             std::size_t threads, const SliceScale& scale,
-                            std::size_t passes = 1,
-                            std::size_t batch_width = 1) {
+                            std::size_t passes = 1) {
   swarming::SimulationConfig sim;
   sim.rounds = scale.rounds;
   sim.engine = sim_engine;
@@ -179,7 +178,6 @@ std::string pra_slice_bytes(swarming::SimEngine sim_engine,
   config.encounter_runs = scale.encounter_runs;
   config.seed = 2011;
   config.threads = threads;
-  config.batch_width = batch_width;
   const core::PraEngine engine(subset, config);
 
   std::vector<core::ProtocolMetrics> metrics;
@@ -229,27 +227,6 @@ TEST(PraGoldenFingerprint, SparseMatchesDenseAtDefaultScale) {
             pra_slice_bytes(swarming::SimEngine::kDense, 2, scale));
 }
 
-TEST(PraGoldenFingerprint, BatchMatchesSparseAtDefaultScaleAcrossWidths) {
-  // The batched quantify grid only regroups tasks: every width — including
-  // widths that leave odd remainders against the 3-run / 3-opponent game
-  // counts — must persist the same CSV bytes as the scalar sparse sweep,
-  // with 1 and with 4 worker threads.
-  const SliceScale scale;
-  const std::string golden =
-      pra_slice_bytes(swarming::SimEngine::kSparse, 2, scale);
-  for (const std::size_t width : {std::size_t{1}, std::size_t{4},
-                                  std::size_t{5}, std::size_t{8}}) {
-    SCOPED_TRACE("batch width " + std::to_string(width));
-    EXPECT_EQ(golden, pra_slice_bytes(swarming::SimEngine::kBatch, 1, scale,
-                                      /*passes=*/1, width));
-    EXPECT_EQ(golden, pra_slice_bytes(swarming::SimEngine::kBatch, 4, scale,
-                                      /*passes=*/1, width));
-  }
-  // Workspace reuse across passes must be invisible on the batch engine too.
-  EXPECT_EQ(golden, pra_slice_bytes(swarming::SimEngine::kBatch, 4, scale,
-                                    /*passes=*/2, 8));
-}
-
 TEST(PraGoldenFingerprint, SparseMatchesDenseAtFullSubsetScale) {
   // DSA_FULL-subset scale: the paper-fidelity 500 rounds and 10 encounter
   // runs, on the named-protocol subset so the test stays tier-1 fast.
@@ -259,19 +236,6 @@ TEST(PraGoldenFingerprint, SparseMatchesDenseAtFullSubsetScale) {
   scale.encounter_runs = 10;
   EXPECT_EQ(pra_slice_bytes(swarming::SimEngine::kSparse, 2, scale),
             pra_slice_bytes(swarming::SimEngine::kDense, 2, scale));
-}
-
-TEST(PraGoldenFingerprint, BatchMatchesSparseAtFullSubsetScale) {
-  // The same paper-fidelity subset scale on the lockstep engine at the
-  // auto-selected width 8 (10 runs per protocol: one full batch of 8 plus
-  // an odd remainder of 2).
-  SliceScale scale;
-  scale.rounds = 500;
-  scale.performance_runs = 10;
-  scale.encounter_runs = 10;
-  EXPECT_EQ(pra_slice_bytes(swarming::SimEngine::kSparse, 2, scale),
-            pra_slice_bytes(swarming::SimEngine::kBatch, 2, scale,
-                            /*passes=*/1, 8));
 }
 
 TEST(PraCheckpoint, MissingOrMalformedCheckpointYieldsEmpty) {
@@ -288,6 +252,80 @@ TEST(PraCheckpoint, MissingOrMalformedCheckpointYieldsEmpty) {
   table.save(path);
   EXPECT_TRUE(swarming::load_pra_checkpoint(path).empty());
   std::filesystem::remove(path);
+}
+
+// ----------------------------------------------- cached dataset sidecar ----
+
+/// Options for a full 3270-protocol sweep small enough for tier-1: one
+/// round, two peers, one run and one sampled opponent per protocol.
+swarming::PraDatasetOptions tiny_dataset_options(
+    const std::filesystem::path& path, std::uint64_t seed) {
+  swarming::PraDatasetOptions options;
+  options.rounds = 1;
+  options.pra.population = 2;
+  options.pra.performance_runs = 1;
+  options.pra.encounter_runs = 1;
+  options.pra.opponent_sample = 1;
+  options.pra.seed = seed;
+  options.pra.threads = 2;
+  options.checkpoint_interval = 0;
+  options.path = path;
+  return options;
+}
+
+std::string file_bytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+TEST(PraDataset, CsvCachedForAnotherSeedIsRecomputed) {
+  const auto dir =
+      std::filesystem::temp_directory_path() / "dsa_pra_dataset_sidecar";
+  std::filesystem::remove_all(dir);
+  const auto path = dir / "pra.csv";
+  const swarming::PraDatasetOptions seed_2011 =
+      tiny_dataset_options(path, 2011);
+  const swarming::PraDatasetOptions seed_2012 =
+      tiny_dataset_options(path, 2012);
+
+  // The first run computes the CSV; another seed must not read those
+  // numbers back.
+  (void)swarming::load_or_compute_pra_dataset(seed_2011, /*verbose=*/false);
+  const std::string bytes_2011 = file_bytes(path);
+  const std::vector<swarming::PraRecord> recomputed =
+      swarming::load_or_compute_pra_dataset(seed_2012, /*verbose=*/false);
+  const std::string bytes_2012 = file_bytes(path);
+  EXPECT_TRUE(bytes_2012 != bytes_2011)
+      << "seed 2012 reused the seed-2011 CSV";
+  swarming::save_pra_dataset(
+      swarming::compute_pra_dataset(seed_2012, /*verbose=*/false),
+      dir / "fresh.csv");
+  EXPECT_EQ(bytes_2012, file_bytes(dir / "fresh.csv"));
+  ASSERT_EQ(recomputed.size(), swarming::kProtocolCount);
+
+  // The options live in a one-line sidecar beside the CSV.
+  auto sidecar = path;
+  sidecar += ".options";
+  ASSERT_TRUE(std::filesystem::exists(sidecar));
+  EXPECT_EQ(file_bytes(sidecar).size(), 17u);  // 16 hex digits + newline
+
+  // The same seed again is a cache hit: a hand-edited CSV is read back as
+  // is, and so is a CSV with no sidecar at all.
+  std::vector<swarming::PraRecord> marked = swarming::load_pra_dataset(path);
+  marked.front().robustness = 0.123;
+  swarming::save_pra_dataset(marked, path);
+  EXPECT_EQ(swarming::load_or_compute_pra_dataset(seed_2012, false)
+                .front()
+                .robustness,
+            0.123);
+  std::filesystem::remove(sidecar);
+  EXPECT_EQ(swarming::load_or_compute_pra_dataset(seed_2011, false)
+                .front()
+                .robustness,
+            0.123);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -83,6 +83,33 @@ TEST(SpecParser, GridValueErrorNamesElementPath) {
   }
 }
 
+TEST(SpecParser, RetiredBatchValuesNameFieldAndAllowedValues) {
+  // The lockstep engine is gone: its engine name and any width but 1 are
+  // rejected at parse time, naming the key path and what is allowed.
+  const auto expect_rejected = [](const std::string& params,
+                                  const std::string& path,
+                                  const std::string& allowed) {
+    const std::string json = R"({"scenario": "t", "kind": "sweep",
+      "output": "o.csv", "params": {)" + params + "}}";
+    try {
+      (void)scenario::parse_scenario_text(json, "bad.json");
+      ADD_FAILURE() << "expected SchemaError for " << params;
+    } catch (const SchemaError& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find(path), std::string::npos) << what;
+      EXPECT_NE(what.find(allowed), std::string::npos) << what;
+    }
+  };
+  expect_rejected(R"("engine": "batch")", "$.params.engine",
+                  "want sparse or dense");
+  expect_rejected(R"("batch_width": 4)", "$.params.batch_width",
+                  "must be 1");
+  // Width 1, the value every existing spec and fingerprint carries, stays.
+  EXPECT_NO_THROW((void)scenario::parse_scenario_text(
+      R"({"scenario": "t", "kind": "sweep", "output": "o.csv",
+          "params": {"batch_width": 1, "engine": "dense"}})"));
+}
+
 TEST(SpecParser, SweepRejectsParameterGrids) {
   const std::string json = R"({"scenario": "t", "kind": "sweep",
     "output": "o.csv", "params": {"rounds": [10, 20]}})";
@@ -542,45 +569,6 @@ TEST_F(ScenarioRunner, SweepMergeMatchesCanonicalDatasetWriter) {
   const fs::path reference = dir_ / "reference.csv";
   swarming::save_pra_dataset(records, reference);
   EXPECT_EQ(read_file(out), read_file(reference));
-}
-
-TEST_F(ScenarioRunner, BatchedSweepKillAndResumeMatchesScalarSweep) {
-  // The batch engine through the scenario runner: a sweep on
-  // engine=batch/batch_width=4, killed after one chunk and resumed, must
-  // merge to the same bytes as an uninterrupted scalar sparse sweep of the
-  // same spec — engine, width, kill point, and thread count are all
-  // invisible in the output.
-  const auto sweep_json = [this](const std::string& name,
-                                 const std::string& engine_params) {
-    return R"({"scenario": "mini-sweep", "kind": "sweep", "output": ")" +
-           (dir_ / name).string() +
-           R"(", "chunk": 2, "params": {"protocols": "0,1,2,3,4,5",
-               "rounds": 8, "population": 10, "performance_runs": 1,
-               "encounter_runs": 1, "opponent_sample": 4,
-               "minority_fraction": 0.2, "seed": 3)" +
-           engine_params + "}}";
-  };
-  const scenario::Plan scalar = scenario::expand_plan(
-      scenario::parse_scenario_text(sweep_json("scalar.csv", "")));
-  scenario::run_scenario(scalar, quiet(1));
-  const std::string expected = read_file(scalar.spec.output);
-  ASSERT_FALSE(expected.empty());
-
-  const scenario::Plan batched =
-      scenario::expand_plan(scenario::parse_scenario_text(sweep_json(
-          "batched.csv", R"(, "engine": "batch", "batch_width": 4)")));
-  ASSERT_EQ(batched.jobs.size(), 3u);
-  scenario::RunOptions abort_options = quiet(1);
-  abort_options.max_jobs = 1;
-  EXPECT_THROW(scenario::run_scenario(batched, abort_options),
-               scenario::RunAborted);
-  EXPECT_EQ(scenario::completed_jobs_in_manifest(batched),
-            (std::vector<std::size_t>{0}));
-
-  const auto report = scenario::run_scenario(batched, quiet(2));
-  EXPECT_EQ(report.skipped, 1u);
-  EXPECT_EQ(report.executed, 2u);
-  EXPECT_EQ(read_file(batched.spec.output), expected);
 }
 
 }  // namespace

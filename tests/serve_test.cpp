@@ -6,10 +6,12 @@
 // byte-identical to the CSV `dsa_cli run` writes.
 #include <gtest/gtest.h>
 #include <poll.h>
+#include <pthread.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -293,18 +295,22 @@ TEST(ServeProtocol, ResultResponseRoundTripsBodyBytes) {
 
 // -------------------------------------------------------- result cache ----
 
-TEST_F(ServeTest, CanonicalPlanPinsEngineAndBatchWidth) {
+TEST_F(ServeTest, CanonicalPlanPinsEngine) {
   const scenario::ScenarioSpec sparse = scenario::parse_scenario_text(
       sweep_spec_text("a.csv", "sparse"));
-  const scenario::ScenarioSpec batch =
-      scenario::parse_scenario_text(sweep_spec_text("b.csv", "batch"));
+  const scenario::ScenarioSpec dense =
+      scenario::parse_scenario_text(sweep_spec_text("b.csv", "dense"));
   const scenario::Plan canon_sparse = serve::canonical_plan(sparse);
-  const scenario::Plan canon_batch = serve::canonical_plan(batch);
-  ASSERT_EQ(canon_sparse.jobs.size(), canon_batch.jobs.size());
+  const scenario::Plan canon_dense = serve::canonical_plan(dense);
+  ASSERT_EQ(canon_sparse.jobs.size(), canon_dense.jobs.size());
   for (std::size_t i = 0; i < canon_sparse.jobs.size(); ++i) {
     EXPECT_EQ(canon_sparse.jobs[i].fingerprint,
-              canon_batch.jobs[i].fingerprint);
+              canon_dense.jobs[i].fingerprint);
   }
+  // Only the engine is canonicalised: the plan a dense run executes keeps
+  // its own fingerprints.
+  EXPECT_NE(scenario::expand_plan(dense).jobs[0].fingerprint,
+            canon_dense.jobs[0].fingerprint);
   // A different seed is a genuinely different question: keys must differ.
   const scenario::Plan canon_other = serve::canonical_plan(
       scenario::parse_scenario_text(sweep_spec_text("c.csv", "sparse", 8)));
@@ -455,10 +461,10 @@ TEST_F(ServeTest, CacheKeyIsEngineAndThreadCountIndependent) {
     sparse_body = client.query(sweep_spec_text("q.csv", "sparse")).body;
   }
   // A multi-threaded daemon restarted from the store must answer dense and
-  // batch phrasings of the same question from cache, byte-identically.
+  // sparse phrasings of the same question from cache, byte-identically.
   Daemon daemon(daemon_options(dir_, 3, dir_ / "cache.jsonl"));
   serve::Client client(daemon.server().socket_path());
-  for (const std::string engine : {"dense", "batch"}) {
+  for (const std::string engine : {"dense", "sparse"}) {
     const serve::Response response =
         client.query(sweep_spec_text("q.csv", engine));
     EXPECT_EQ(response.body, sparse_body) << engine;
@@ -630,6 +636,42 @@ TEST_F(ServeTest, ShutdownRequestStopsTheServeLoop) {
   client.shutdown();
   thread.join();  // returns because the shutdown request set `stop`
   EXPECT_TRUE(stop.load());
+}
+
+/// This process's virtual size in KiB (VmSize in /proc/self/status).
+std::size_t vm_size_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoul(line.substr(7));
+  }
+  return 0;
+}
+
+TEST_F(ServeTest, FinishedConnectionThreadsAreJoined) {
+  // Each connection runs on its own thread, and a thread nobody joins
+  // keeps its stack mapped. Many short sequential connections must
+  // therefore not grow the daemon by a stack per connection ever accepted.
+  pthread_attr_t attr;
+  std::size_t stack_bytes = 0;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_getstacksize(&attr, &stack_bytes), 0);
+  pthread_attr_destroy(&attr);
+  const std::size_t stack_kib = stack_bytes / 1024;
+
+  Daemon daemon(daemon_options(dir_));
+  serve::Client(daemon.server().socket_path()).ping();
+  const std::size_t before = vm_size_kib();
+  constexpr std::size_t kConnections = 64;
+  for (std::size_t i = 0; i < kConnections; ++i) {
+    serve::Client(daemon.server().socket_path()).ping();
+  }
+  const std::size_t after = vm_size_kib();
+  ASSERT_GT(before, 0u);
+  EXPECT_LT(after - std::min(after, before), kConnections / 4 * stack_kib)
+      << "VmSize grew from " << before << " KiB to " << after
+      << " KiB over " << kConnections << " connections";
+  EXPECT_EQ(daemon.server().counters().at("connections"), kConnections + 1);
 }
 
 TEST_F(ServeTest, SecondDaemonOnTheSameSocketFailsConstruction) {
